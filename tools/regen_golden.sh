@@ -32,8 +32,11 @@ if [[ ! -x "$BIN" ]]; then
     exit 2
 fi
 
+# RRIP, CLOCK-Pro and Random pin the static baselines the paper compares
+# against: HSD (type II) runs RRIP's distant-insertion, 128-fault delay
+# path, BFS and KMN its threshold-0 path.
 APPS=(HSD BFS KMN)
-POLICIES=(LRU HPE Ideal)
+POLICIES=(LRU HPE Ideal RRIP CLOCK-Pro Random)
 SCALE=0.1
 SEED=1
 INTERVAL=500
