@@ -11,7 +11,10 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <iterator>
+#include <memory>
+#include <vector>
 
 #include "common/log.hpp"
 
@@ -213,6 +216,41 @@ class IntrusiveList
 
     IntrusiveNode sentinel_;
     std::size_t size_ = 0;
+};
+
+/**
+ * Storage for list nodes: nodes keep stable addresses, and released nodes
+ * are reused before a new one is allocated, so a list whose population
+ * churns at a steady size stops allocating once it is warm.
+ */
+template <typename T>
+class IntrusivePool
+{
+  public:
+    /** A default-constructed node. */
+    T &
+    acquire()
+    {
+        if (free_.empty())
+            return nodes_.emplace_back();
+        T *node = free_.back();
+        free_.pop_back();
+        std::destroy_at(node);
+        return *std::construct_at(node);
+    }
+
+    /** Return @p node, which must be unlinked, for reuse. */
+    void
+    release(T &node)
+    {
+        HPE_ASSERT(!static_cast<IntrusiveNode &>(node).linked(),
+                   "releasing a linked node");
+        free_.push_back(&node);
+    }
+
+  private:
+    std::deque<T> nodes_;
+    std::vector<T *> free_;
 };
 
 } // namespace hpe

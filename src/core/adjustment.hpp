@@ -21,13 +21,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/classifier.hpp"
 #include "core/hpe_config.hpp"
+#include "mem/page_index.hpp"
 
 namespace hpe {
 
@@ -109,7 +109,7 @@ class AdjustmentController
             if (fifo_.size() == depth_)
                 pop();
             fifo_.push_back(Entry{page, interval});
-            ++members_[page];
+            members_.assign(page, members_.lookup(page) + 1);
         }
 
         bool contains(PageId page) const { return members_.contains(page); }
@@ -126,8 +126,8 @@ class AdjustmentController
         void
         clear()
         {
-            fifo_.clear();
-            members_.clear();
+            while (!fifo_.empty())
+                pop();
         }
 
       private:
@@ -142,14 +142,15 @@ class AdjustmentController
         {
             const Entry victim = fifo_.front();
             fifo_.pop_front();
-            auto it = members_.find(victim.page);
-            if (--it->second == 0)
-                members_.erase(it);
+            const std::uint32_t copies = members_.erase(victim.page);
+            if (copies > 1)
+                members_.insert(victim.page, copies - 1);
         }
 
         std::size_t depth_;
         std::deque<Entry> fifo_;
-        std::unordered_map<PageId, std::uint32_t> members_;
+        /** page -> copies in fifo_ (absent: none) */
+        DensePageMap<std::uint32_t, 0> members_;
     };
 
     struct StrategyState

@@ -43,28 +43,28 @@ HirCache::recordHit(PageId page)
             ++conflicts_;
             std::erase(order_, displaced.tag);
         }
-        entry->data.counts.assign(cfg_.pageSetSize, 0);
-        order_.push_back(set);
+        order_.push_back(set); // insert() zeroed the counts
     }
     std::uint8_t &c = entry->data.counts[offset];
     if (c < ceiling)
         ++c;
 }
 
-std::vector<HirRecord>
+const std::vector<HirRecord> &
 HirCache::flush()
 {
-    std::vector<HirRecord> out;
-    out.reserve(order_.size());
+    // order_ lists exactly the valid entries, so erasing them leaves the
+    // array as clear() would, without resetting the untouched ones.
+    records_.clear();
     for (PageSetId set : order_) {
         auto *entry = array_.probe(set);
         HPE_ASSERT(entry != nullptr, "ordered HIR entry {:#x} missing", set);
-        out.push_back(HirRecord{set, entry->data.counts});
+        records_.push_back(HirRecord{set, entry->data.counts});
+        array_.erase(set);
     }
-    entriesPerFlush_.sample(static_cast<double>(out.size()));
-    array_.clear();
+    entriesPerFlush_.sample(static_cast<double>(records_.size()));
     order_.clear();
-    return out;
+    return records_;
 }
 
 std::size_t

@@ -8,10 +8,15 @@
  * touched entries are copied out (in first-touch order, which preserves a
  * relaxed reference order), transferred to the GPU driver over PCIe, and
  * the cache is flushed.
+ *
+ * Counts live in a fixed 64-slot array (page sets hold at most 64 pages),
+ * and a flush erases only the entries it copied out, so neither recording
+ * nor flushing allocates or touches untouched entries.
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -22,12 +27,15 @@
 
 namespace hpe {
 
+/** Per-page hit counts of one page set; offsets past the set size stay 0. */
+using HirCounts = std::array<std::uint8_t, 64>;
+
 /** One transferred HIR record: a page set and its per-page hit counts. */
 struct HirRecord
 {
     PageSetId set = 0;
-    /** hit count per page offset; length = page set size. */
-    std::vector<std::uint8_t> counts;
+    /** hit count per page offset. */
+    HirCounts counts{};
 };
 
 /** The on-GPU hit-information record cache. */
@@ -46,9 +54,10 @@ class HirCache
 
     /**
      * Copy out all touched entries in first-touch order and flush.
-     * @return the records destined for the GPU driver.
+     * @return the records destined for the GPU driver, valid until the
+     *         next flush.
      */
-    std::vector<HirRecord> flush();
+    const std::vector<HirRecord> &flush();
 
     /** Bytes one record occupies on the wire (tag + counter vector). */
     std::size_t recordBytes() const;
@@ -62,7 +71,7 @@ class HirCache
   private:
     struct Payload
     {
-        std::vector<std::uint8_t> counts;
+        HirCounts counts{};
     };
 
     std::uint32_t pageSetShift() const;
@@ -71,6 +80,8 @@ class HirCache
     SetAssocArray<Payload> array_;
     /** Page-set tags in first-touch order since the last flush. */
     std::vector<PageSetId> order_;
+    /** The last flush's records (reused, so flushing does not allocate). */
+    std::vector<HirRecord> records_;
     Counter &hitsRecorded_;
     Counter &conflicts_;
     Distribution &entriesPerFlush_;

@@ -1,5 +1,7 @@
 #include "core/hpe_policy.hpp"
 
+#include <bit>
+
 #include "common/log.hpp"
 
 namespace hpe {
@@ -39,7 +41,7 @@ HpePolicy::onFault(PageId page)
 
     if (cfg_.hitChannel == HitChannel::Hir
         && faultNumber_ % cfg_.transferInterval == 0) {
-        const auto records = hir_.flush();
+        const auto &records = hir_.flush();
         ++hirFlushes_;
         pendingTransferBytes_ +=
             static_cast<std::uint64_t>(records.size()) * hir_.recordBytes();
@@ -103,15 +105,14 @@ HpePolicy::memberMask(const ChainEntry &entry) const
 std::optional<PageId>
 HpePolicy::firstResidentPage(const ChainEntry &entry) const
 {
-    const std::uint64_t members = memberMask(entry);
-    for (std::uint32_t off = 0; off < cfg_.pageSetSize; ++off) {
-        if ((members & (std::uint64_t{1} << off)) == 0)
-            continue;
-        const PageId page = chain_.pageAt(entry.set, off);
-        if (resident_.contains(page))
-            return page;
-    }
-    return std::nullopt;
+    const std::uint64_t resident =
+        resident_.blockBits(chain_.pageAt(entry.set, 0), cfg_.pageSetSize);
+    if (resident == 0)
+        return std::nullopt;
+    const std::uint64_t members = resident & memberMask(entry);
+    if (members == 0)
+        return std::nullopt;
+    return chain_.pageAt(entry.set, static_cast<std::uint32_t>(std::countr_zero(members)));
 }
 
 ChainEntry *
@@ -199,7 +200,7 @@ HpePolicy::selectVictim()
             if (currentVictim_ == nullptr) {
                 // Chain exhausted (e.g. hit information lost to HIR way
                 // conflicts): fall back to any resident page.
-                return *resident_.begin();
+                return *fallbackOrder_.begin();
             }
             // Sets with no resident members are purged by the loop above.
             if (firstResidentPage(*currentVictim_).has_value())
@@ -214,8 +215,9 @@ HpePolicy::selectVictim()
 void
 HpePolicy::onEvict(PageId page)
 {
-    const auto erased = resident_.erase(page);
-    HPE_ASSERT(erased == 1, "evicting non-resident page {:#x}", page);
+    const bool erased = resident_.erase(page);
+    HPE_ASSERT(erased, "evicting non-resident page {:#x}", page);
+    fallbackOrder_.erase(page);
     ++evictions_;
     adjust_.onEvict(page);
 
@@ -233,17 +235,17 @@ HpePolicy::onEvict(PageId page)
 void
 HpePolicy::onMigrateIn(PageId page)
 {
-    const auto [it, inserted] = resident_.insert(page);
-    (void)it;
+    const bool inserted = resident_.insert(page);
     HPE_ASSERT(inserted, "double migrate-in of page {:#x}", page);
+    fallbackOrder_.insert(page);
 }
 
 void
 HpePolicy::onPrefetchIn(PageId page)
 {
-    const auto [it, inserted] = resident_.insert(page);
-    (void)it;
+    const bool inserted = resident_.insert(page);
     HPE_ASSERT(inserted, "double prefetch-in of page {:#x}", page);
+    fallbackOrder_.insert(page);
     // Without a chain entry the page would be invisible to victim search
     // (only the resident-set fallback could reclaim it); a cold insert at
     // the old partition's LRU end makes speculation the first thing every

@@ -33,6 +33,7 @@
 #include "core/hir_cache.hpp"
 #include "core/hpe_config.hpp"
 #include "core/page_set_chain.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
@@ -58,7 +59,7 @@ class HpePolicy : public EvictionPolicy
     void onPrefetchIn(PageId page) override;
     std::string name() const override { return "HPE"; }
 
-    void reserveCapacity(std::size_t frames) override { resident_.reserve(frames); }
+    void reserveCapacity(std::size_t frames) override { fallbackOrder_.reserve(frames); }
 
     // HPE's observable transitions live on the page-set chain (insertions,
     // divisions, rotations, new-partition promotions); forward the sink.
@@ -70,7 +71,10 @@ class HpePolicy : public EvictionPolicy
     std::optional<std::vector<PageId>>
     trackedResidentPages() const override
     {
-        return std::vector<PageId>(resident_.begin(), resident_.end());
+        std::vector<PageId> pages;
+        pages.reserve(resident_.size());
+        resident_.forEach([&pages](PageId page) { pages.push_back(page); });
+        return pages;
     }
 
     /** @{ introspection for benches and tests */
@@ -117,7 +121,13 @@ class HpePolicy : public EvictionPolicy
     PageSetChain chain_;
     AdjustmentController adjust_;
 
-    std::unordered_set<PageId> resident_;
+    DensePageSet resident_;
+    /**
+     * The resident set once more, in a hash set: when the chain runs dry
+     * the fallback victim is this set's first element, so its iteration
+     * order is behaviour and only the same container reproduces it.
+     */
+    std::unordered_set<PageId> fallbackOrder_;
     std::uint64_t faultNumber_ = 0;
     std::optional<ClassificationResult> classification_;
 

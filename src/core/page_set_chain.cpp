@@ -20,14 +20,6 @@ PageSetChain::PageSetChain(const HpeConfig &cfg, StatRegistry &stats,
     cfg_.validate();
 }
 
-PageSetChain::~PageSetChain()
-{
-    // Unlink nodes before the unique_ptrs release them.
-    for (auto *list : {&old_, &middle_, &new_})
-        while (!list->empty())
-            list->remove(list->front());
-}
-
 void
 PageSetChain::emitChainOp(std::uint8_t op, PageSetId set, std::uint64_t value)
 {
@@ -38,8 +30,7 @@ PageSetChain::emitChainOp(std::uint8_t op, PageSetId set, std::uint64_t value)
 ChainEntry *
 PageSetChain::find(PageSetId set, bool secondary)
 {
-    auto it = entries_.find(ChainEntry::keyOf(set, secondary));
-    return it == entries_.end() ? nullptr : it->second.get();
+    return entries_.lookup(ChainEntry::keyOf(set, secondary));
 }
 
 bool
@@ -51,32 +42,38 @@ PageSetChain::belongsToPrimary(PageId page) const
 
     // Fig. 6 step 2: consult the history buffer first (previously evicted
     // divided sets), then any live divided primary on the chain.
-    if (auto it = history_.find(set); it != history_.end())
-        return (it->second & bit) != 0;
-    auto eit = entries_.find(ChainEntry::keyOf(set, false));
-    if (eit != entries_.end() && eit->second->divided)
-        return (eit->second->primaryMask & bit) != 0;
+    if (const std::uint64_t mask = history_.lookup(set); mask != 0)
+        return (mask & bit) != 0;
+    const ChainEntry *primary = entries_.lookup(ChainEntry::keyOf(set, false));
+    if (primary != nullptr && primary->divided)
+        return (primary->primaryMask & bit) != 0;
     return true;
+}
+
+ChainEntry &
+PageSetChain::track(PageSetId set, bool secondary)
+{
+    ChainEntry &entry = pool_.acquire();
+    entry.set = set;
+    entry.secondary = secondary;
+    // A re-inserted primary inherits its sticky first-division result so
+    // later touches keep routing to the same halves (§IV-C).
+    if (!secondary) {
+        if (const std::uint64_t mask = history_.lookup(set); mask != 0) {
+            entry.divided = true;
+            entry.primaryMask = mask;
+        }
+    }
+    entries_.insert(ChainEntry::keyOf(set, secondary), &entry);
+    return entry;
 }
 
 ChainEntry &
 PageSetChain::create(PageSetId set, bool secondary)
 {
-    auto entry = std::make_unique<ChainEntry>();
-    ChainEntry &ref = *entry;
-    ref.set = set;
-    ref.secondary = secondary;
+    ChainEntry &ref = track(set, secondary);
     ref.part = Partition::New;
-    // A re-inserted primary inherits its sticky first-division result so
-    // later touches keep routing to the same halves (§IV-C).
-    if (!secondary) {
-        if (auto it = history_.find(set); it != history_.end()) {
-            ref.divided = true;
-            ref.primaryMask = it->second;
-        }
-    }
     new_.pushBack(ref);
-    entries_.emplace(ChainEntry::keyOf(set, secondary), std::move(entry));
     ++insertions_;
     emitChainOp(static_cast<std::uint8_t>(trace::ChainOpKind::Insert), set,
                 secondary ? 1 : 0);
@@ -155,19 +152,9 @@ PageSetChain::insertCold(PageId page)
         // a set that exists only through speculation has shown no recency
         // at all, so it must not displace tracked sets from the eviction
         // order.
-        auto node = std::make_unique<ChainEntry>();
-        entry = node.get();
-        entry->set = set;
-        entry->secondary = secondary;
+        entry = &track(set, secondary);
         entry->part = Partition::Old;
-        if (!secondary) {
-            if (auto it = history_.find(set); it != history_.end()) {
-                entry->divided = true;
-                entry->primaryMask = it->second;
-            }
-        }
         old_.pushFront(*entry);
-        entries_.emplace(ChainEntry::keyOf(set, secondary), std::move(node));
         ++insertions_;
         emitChainOp(static_cast<std::uint8_t>(trace::ChainOpKind::Insert), set,
                     secondary ? 1 : 0);
@@ -201,15 +188,16 @@ PageSetChain::endInterval()
 void
 PageSetChain::remove(ChainEntry &entry)
 {
-    if (entry.divided && !entry.secondary) {
+    if (entry.divided && !entry.secondary && !history_.contains(entry.set)) {
         // Record only the first division result (sticky thereafter).
-        history_.emplace(entry.set, entry.primaryMask);
+        history_.insert(entry.set, entry.primaryMask);
     }
     emitChainOp(static_cast<std::uint8_t>(trace::ChainOpKind::Remove), entry.set,
                 entry.secondary ? 1 : 0);
     partition(entry.part).remove(entry);
-    const auto erased = entries_.erase(ChainEntry::keyOf(entry.set, entry.secondary));
-    HPE_ASSERT(erased == 1, "chain entry {:#x} missing from index", entry.set);
+    const ChainEntry *erased = entries_.erase(ChainEntry::keyOf(entry.set, entry.secondary));
+    HPE_ASSERT(erased == &entry, "chain entry {:#x} missing from index", entry.set);
+    pool_.release(entry);
 }
 
 IntrusiveList<ChainEntry> &

@@ -21,15 +21,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/intrusive_list.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/hpe_config.hpp"
+#include "mem/page_index.hpp"
 
 namespace hpe {
 
@@ -77,7 +76,6 @@ class PageSetChain
      * @param name  stat prefix, e.g. "hpe.chain".
      */
     PageSetChain(const HpeConfig &cfg, StatRegistry &stats, const std::string &name);
-    ~PageSetChain();
 
     /** @{ page <-> set arithmetic */
     PageSetId setOf(PageId page) const { return page >> setShift_; }
@@ -164,6 +162,12 @@ class PageSetChain
     /** Insert a fresh entry at the MRU position of the new partition. */
     ChainEntry &create(PageSetId set, bool secondary);
 
+    /**
+     * Index a fresh, unlinked entry for (@p set, @p secondary).  A primary
+     * inherits its sticky first-division result from the history buffer.
+     */
+    ChainEntry &track(PageSetId set, bool secondary);
+
     /** Move a non-new entry to the MRU position of the new partition. */
     void promoteToNew(ChainEntry &entry);
 
@@ -178,10 +182,15 @@ class PageSetChain
     IntrusiveList<ChainEntry> old_;
     IntrusiveList<ChainEntry> middle_;
     IntrusiveList<ChainEntry> new_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<ChainEntry>> entries_;
+    /** ChainEntry::keyOf(set, secondary) -> the live entry. */
+    DensePageMap<ChainEntry *, nullptr> entries_;
+    IntrusivePool<ChainEntry> pool_;
 
-    /** First-division primary masks, keyed by page-set address (sticky). */
-    std::unordered_map<PageSetId, std::uint64_t> history_;
+    /**
+     * First-division primary masks, keyed by page-set address (sticky).
+     * A division needs a faulted page, so a mask is never 0.
+     */
+    DensePageMap<std::uint64_t, 0> history_;
 
     Counter &divisions_;
     Counter &insertions_;

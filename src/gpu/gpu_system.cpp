@@ -183,18 +183,12 @@ GpuSystem::translate(Warp &warp, Addr addr)
                 }
             }
             eq_.scheduleIn(walk_penalty + walk.latency,
-                           [this, &warp, &sm, addr, page,
-                                          hit = walk.hit] {
-                if (hit) [[likely]] {
-                    const PageId k = uvm_.translationKey(page);
-                    l2Tlb_->fill(k);
-                    sm.l1Tlb->fill(k);
-                    memAccess(warp, addr);
-                    return;
-                }
-                if (uvm_.resident(page)) {
-                    // Another warp's fault service landed the page while
-                    // this walk was in flight: proceed as a hit.
+                           [this, &warp, &sm, addr, page] {
+                // Residency is checked when the walk completes, not when it
+                // starts: a walk hit whose page was evicted in flight takes
+                // the fault path, and a miss whose page another warp's fault
+                // service landed in flight proceeds as a hit.
+                if (uvm_.resident(page)) [[likely]] {
                     const PageId k = uvm_.translationKey(page);
                     l2Tlb_->fill(k);
                     sm.l1Tlb->fill(k);

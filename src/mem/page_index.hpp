@@ -70,6 +70,20 @@ class DensePageMap
         ++size_;
     }
 
+    /** Map @p page to @p value, inserting it or overwriting its value. */
+    void
+    assign(PageId page, V value)
+    {
+        if (page < kDensePageLimit) {
+            if (page >= dense_.size())
+                grow(page);
+            size_ += dense_[page] == Invalid ? 1 : 0;
+            dense_[page] = value;
+        } else {
+            size_ += overflow_.insert_or_assign(page, value).second ? 1 : 0;
+        }
+    }
+
     /** Remove @p page. @return its value, or Invalid if it was absent. */
     V
     erase(PageId page)
@@ -175,6 +189,31 @@ class DensePageSet
         const bool erased = overflow_.erase(page) > 0;
         size_ -= erased ? 1 : 0;
         return erased;
+    }
+
+    /**
+     * Membership of the @p count pages from @p first as a bit mask (bit i:
+     * page first + i).  @p count must be a power of two of at most 64 and
+     * @p first a multiple of it, so the block never straddles two words.
+     */
+    std::uint64_t
+    blockBits(PageId first, unsigned count) const
+    {
+        HPE_ASSERT(count > 0 && count <= 64 && (count & (count - 1)) == 0
+                       && first % count == 0,
+                   "unaligned block of {} pages at {:#x}", count, first);
+        const std::uint64_t mask =
+            count == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
+        const std::size_t word = static_cast<std::size_t>(first >> 6);
+        if (word < bits_.size()) [[likely]]
+            return (bits_[word] >> (first & 63)) & mask;
+        if (first < kDensePageLimit)
+            return 0;
+        std::uint64_t bits = 0;
+        for (unsigned i = 0; i < count; ++i)
+            if (overflow_.contains(first + i))
+                bits |= std::uint64_t{1} << i;
+        return bits;
     }
 
     std::size_t size() const { return size_; }

@@ -50,10 +50,10 @@ ClockProPolicy::unlink(Node &node)
 void
 ClockProPolicy::onHit(PageId page)
 {
-    auto it = nodes_.find(page);
-    if (it == nodes_.end())
+    Node *node = nodes_.lookup(page);
+    if (node == nullptr)
         return;
-    Node &n = *it->second;
+    Node &n = *node;
     HPE_ASSERT(n.state != State::ColdNonResident,
                "walk hit on non-resident page {:#x}", page);
     // References only set the bit; list movement happens at the hands.
@@ -92,7 +92,7 @@ ClockProPolicy::runHandHot()
             handHot_ = clock_.prev(n); // advance past it on next call
             unlink(*victim);
             --numColdNonRes_;
-            nodes_.erase(victim->page);
+            untrack(*victim);
         } else {
             // Resident cold page: passing HAND_hot terminates its test.
             n.test = false;
@@ -112,7 +112,7 @@ ClockProPolicy::runHandTest()
             handTest_ = clock_.prev(n);
             unlink(*victim);
             --numColdNonRes_;
-            nodes_.erase(victim->page);
+            untrack(*victim);
             return;
         }
         if (n.state == State::ColdResident && n.test) {
@@ -174,15 +174,15 @@ ClockProPolicy::selectVictim()
 void
 ClockProPolicy::onEvict(PageId page)
 {
-    auto it = nodes_.find(page);
-    HPE_ASSERT(it != nodes_.end(), "evicting untracked page {:#x}", page);
-    Node &n = *it->second;
+    Node *node = nodes_.lookup(page);
+    HPE_ASSERT(node != nullptr, "evicting untracked page {:#x}", page);
+    Node &n = *node;
     HPE_ASSERT(n.state != State::ColdNonResident, "evicting non-resident page");
     if (n.state == State::Hot) {
         // Forced eviction of a hot page (driver override); drop it entirely.
         --numHot_;
         unlink(n);
-        nodes_.erase(it);
+        untrack(n);
         return;
     }
     --numColdRes_;
@@ -195,18 +195,17 @@ ClockProPolicy::onEvict(PageId page)
             runHandTest();
     } else {
         unlink(n);
-        nodes_.erase(it);
+        untrack(n);
     }
 }
 
 void
 ClockProPolicy::onMigrateIn(PageId page)
 {
-    auto it = nodes_.find(page);
-    if (it != nodes_.end()) {
+    if (Node *node = nodes_.lookup(page); node != nullptr) {
         // Faulted back during its test period: promote straight to hot
         // (its reuse distance beat a full cold-allocation sweep).
-        Node &n = *it->second;
+        Node &n = *node;
         HPE_ASSERT(n.state == State::ColdNonResident,
                    "migrate-in of already-resident page {:#x}", page);
         --numColdNonRes_;
@@ -231,12 +230,11 @@ ClockProPolicy::onMigrateIn(PageId page)
 void
 ClockProPolicy::onPrefetchIn(PageId page)
 {
-    auto it = nodes_.find(page);
-    if (it != nodes_.end()) {
+    if (Node *node = nodes_.lookup(page); node != nullptr) {
         // The page has non-resident test metadata, but this arrival is
         // speculation, not a demonstrated refault — no hot promotion.
         // It rejoins the clock as a plain resident cold page.
-        Node &n = *it->second;
+        Node &n = *node;
         HPE_ASSERT(n.state == State::ColdNonResident,
                    "prefetch-in of already-resident page {:#x}", page);
         --numColdNonRes_;
@@ -250,13 +248,10 @@ ClockProPolicy::onPrefetchIn(PageId page)
         // Brand-new page: resident cold at the *oldest* clock position and
         // outside any test period, so HAND_cold reclaims it first unless a
         // real reference arrives.
-        auto node = std::make_unique<Node>();
-        Node &n = *node;
-        n.page = page;
+        Node &n = track(page);
         n.state = State::ColdResident;
         n.test = false;
         clock_.pushFront(n);
-        nodes_.emplace(page, std::move(node));
         ++numColdRes_;
     }
     // Observable cold placement of a speculative page (value 1 flags the
@@ -274,24 +269,38 @@ ClockProPolicy::trackedResidentPages() const
     // metadata only and must not be reported.
     std::vector<PageId> pages;
     pages.reserve(numHot_ + numColdRes_);
-    for (const auto &[page, node] : nodes_)
+    nodes_.forEach([&pages](PageId page, const Node *node) {
         if (node->state != State::ColdNonResident)
             pages.push_back(page);
+    });
     return pages;
 }
 
 ClockProPolicy::Node &
 ClockProPolicy::insertNew(PageId page)
 {
-    auto node = std::make_unique<Node>();
-    node->page = page;
-    node->state = State::ColdResident;
-    node->test = true;
-    Node &ref = *node;
-    clock_.pushBack(ref);
-    nodes_.emplace(page, std::move(node));
+    Node &node = track(page);
+    node.state = State::ColdResident;
+    node.test = true;
+    clock_.pushBack(node);
     ++numColdRes_;
-    return ref;
+    return node;
+}
+
+ClockProPolicy::Node &
+ClockProPolicy::track(PageId page)
+{
+    Node &node = pool_.acquire();
+    node.page = page;
+    nodes_.insert(page, &node);
+    return node;
+}
+
+void
+ClockProPolicy::untrack(Node &node)
+{
+    nodes_.erase(node.page);
+    pool_.release(node);
 }
 
 } // namespace hpe

@@ -20,11 +20,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 
 #include "common/intrusive_list.hpp"
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
@@ -58,9 +57,6 @@ class ClockProPolicy : public EvictionPolicy
     // Hot/cold transitions are CLOCK-Pro's LIR/HIR analog; they surface as
     // Promotion/Demotion events with the ClockProPage scope.
     void setTraceSink(trace::TraceSink *sink) override { sink_ = sink; }
-
-    // CLOCK-Pro tracks non-resident (test) pages too, up to ~2x memory.
-    void reserveCapacity(std::size_t frames) override { nodes_.reserve(2 * frames); }
 
     std::optional<std::vector<PageId>> trackedResidentPages() const override;
 
@@ -96,13 +92,21 @@ class ClockProPolicy : public EvictionPolicy
     /** Insert a brand-new cold page at the clock head (newest position). */
     Node &insertNew(PageId page);
 
+    /** Track a new node for @p page; the caller links it into the clock. */
+    Node &track(PageId page);
+
+    /** Forget the unlinked @p node. */
+    void untrack(Node &node);
+
     /** Emit a hot/cold transition event if a sink is attached. */
     void emitTransition(bool promotion, PageId page);
 
     ClockProConfig cfg_;
     trace::TraceSink *sink_ = nullptr;
     IntrusiveList<Node> clock_;
-    std::unordered_map<PageId, std::unique_ptr<Node>> nodes_;
+    /** Every tracked page (resident or test metadata) -> its node. */
+    DensePageMap<Node *, nullptr> nodes_;
+    IntrusivePool<Node> pool_;
 
     Node *handCold_ = nullptr;
     Node *handHot_ = nullptr;

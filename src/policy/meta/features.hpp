@@ -29,9 +29,9 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 
 namespace hpe::meta {
 
@@ -76,7 +76,7 @@ class FeaturePipeline
         ++refs_;
         ++hits_;
         closeFaultRun();
-        ++setRefs_[page >> setShift_];
+        setsTouched_.insert(page >> setShift_);
     }
 
     /** A demand reference faulted on non-resident page @p page. */
@@ -86,23 +86,22 @@ class FeaturePipeline
         ++refs_;
         ++faults_;
         ++faultRun_;
-        ++setRefs_[page >> setShift_];
-        const auto it = evictedAt_.find(page);
-        if (it == evictedAt_.end())
+        setsTouched_.insert(page >> setShift_);
+        const std::uint64_t evictedAt = evictedAt_.erase(page);
+        if (evictedAt == kNotEvicted)
             return;
         ++refaults_;
-        const std::uint64_t distance = totalRefs() - it->second;
+        const std::uint64_t distance = totalRefs() - evictedAt;
         unsigned bucket = 0;
         while ((std::uint64_t{1} << (bucket + 1)) <= distance
                && bucket + 1 < kRefaultBuckets)
             ++bucket;
         ++refaultHist_[bucket];
         refaultBucketSum_ += bucket;
-        evictedAt_.erase(it);
     }
 
     /** Page @p page left GPU memory (starts its refault-distance clock). */
-    void onEvict(PageId page) { evictedAt_[page] = totalRefs(); }
+    void onEvict(PageId page) { evictedAt_.assign(page, totalRefs()); }
 
     /** Demand references observed since construction (interval clock). */
     std::uint64_t totalRefs() const { return totalRefs_ + refs_; }
@@ -131,22 +130,24 @@ class FeaturePipeline
                              ? 0.0
                              : static_cast<double>(faultRunRefs_)
                                    / static_cast<double>(faultRuns_);
-        f.distinctSets = setRefs_.size();
-        f.meanSetReuse = setRefs_.empty()
+        f.distinctSets = setsTouched_.size();
+        f.meanSetReuse = setsTouched_.empty()
                              ? 0.0
                              : static_cast<double>(refs_)
-                                   / static_cast<double>(setRefs_.size());
+                                   / static_cast<double>(setsTouched_.size());
 
         totalRefs_ += refs_;
         refs_ = hits_ = faults_ = refaults_ = 0;
         refaultHist_.fill(0);
         refaultBucketSum_ = 0;
         faultRuns_ = faultRunRefs_ = maxFaultRun_ = 0;
-        setRefs_.clear();
+        setsTouched_.clear();
         return f;
     }
 
   private:
+    static constexpr std::uint64_t kNotEvicted = UINT64_MAX;
+
     void
     closeFaultRun()
     {
@@ -171,10 +172,10 @@ class FeaturePipeline
     std::uint64_t faultRuns_ = 0;   ///< closed runs this interval
     std::uint64_t faultRunRefs_ = 0;
     std::uint64_t maxFaultRun_ = 0;
-    /** page set -> references this interval */
-    std::unordered_map<std::uint64_t, std::uint64_t> setRefs_;
+    /** page sets referenced this interval */
+    DensePageSet setsTouched_;
     /** page -> totalRefs() at its last eviction */
-    std::unordered_map<PageId, std::uint64_t> evictedAt_;
+    DensePageMap<std::uint64_t, kNotEvicted> evictedAt_;
 };
 
 } // namespace hpe::meta

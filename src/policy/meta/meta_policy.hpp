@@ -32,10 +32,10 @@
 
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/stats.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 #include "policy/meta/features.hpp"
 #include "policy/meta/selectors.hpp"
@@ -173,7 +173,7 @@ class MetaPolicy : public EvictionPolicy
     /** Sampled shadow simulation state of one candidate. */
     struct Shadow
     {
-        std::unordered_set<PageId> resident;
+        DensePageSet resident;
     };
 
     void shadowReference(PageId page);

@@ -7,12 +7,12 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
@@ -37,20 +37,21 @@ class RandomPolicy : public EvictionPolicy
     void
     onEvict(PageId page) override
     {
-        auto it = index_.find(page);
-        HPE_ASSERT(it != index_.end(), "evicting untracked page {:#x}", page);
+        const std::uint32_t pos = index_.erase(page);
+        HPE_ASSERT(pos != kNoSlot, "evicting untracked page {:#x}", page);
         // Swap-remove to keep the resident vector dense.
-        const std::size_t pos = it->second;
-        pages_[pos] = pages_.back();
-        index_[pages_[pos]] = pos;
+        const PageId moved = pages_.back();
+        pages_[pos] = moved;
         pages_.pop_back();
-        index_.erase(page);
+        if (moved != page)
+            index_.assign(moved, pos);
     }
 
     void
     onMigrateIn(PageId page) override
     {
-        index_.emplace(page, pages_.size());
+        HPE_ASSERT(!index_.contains(page), "double migrate-in of page {:#x}", page);
+        index_.insert(page, static_cast<std::uint32_t>(pages_.size()));
         pages_.push_back(page);
     }
 
@@ -60,7 +61,6 @@ class RandomPolicy : public EvictionPolicy
     reserveCapacity(std::size_t frames) override
     {
         pages_.reserve(frames);
-        index_.reserve(frames);
     }
 
     std::optional<std::vector<PageId>>
@@ -70,9 +70,11 @@ class RandomPolicy : public EvictionPolicy
     }
 
   private:
+    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
     Rng rng_;
     std::vector<PageId> pages_;
-    std::unordered_map<PageId, std::size_t> index_;
+    DensePageMap<std::uint32_t, kNoSlot> index_; ///< page -> index in pages_
 };
 
 } // namespace hpe

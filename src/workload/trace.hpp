@@ -14,11 +14,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 
 namespace hpe {
 
@@ -142,7 +142,7 @@ class Trace
     std::size_t
     footprintPages() const
     {
-        std::unordered_set<PageId> seen;
+        DensePageSet seen;
         for (const PageRef &r : refs_)
             seen.insert(r.page);
         return seen.size();

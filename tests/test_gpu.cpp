@@ -204,5 +204,20 @@ TEST(GpuSystem, WalkLatencySensitivityIsSmall)
     EXPECT_NEAR(b.ipc / a.ipc, 1.0, 0.05);
 }
 
+TEST(GpuSystem, WalkHitOnPageEvictedInFlightFaults)
+{
+    // A walk hit is applied one walk latency after the walk starts.  In
+    // this cell a page is evicted inside that window; its access must take
+    // the fault path instead of translating (and writing) a non-resident
+    // page, which used to abort the run.
+    const Trace t = buildApp("BFS", 1.0, 22);
+    RunConfig cfg;
+    cfg.oversub = 0.75;
+    cfg.seed = 22;
+    const TimingResult r = runTiming(t, PolicyKind::Lru, cfg);
+    EXPECT_EQ(r.faults, 2967u);
+    EXPECT_EQ(r.evictions, 1512u);
+}
+
 } // namespace
 } // namespace hpe
