@@ -476,6 +476,18 @@ TEST(Sharding, FingerprintRoutingIsDeterministicAndCoversEveryShard)
     }
     // FNV-1a spreads arbitrary fingerprints over all shards.
     EXPECT_EQ(seen.size(), kShards);
+    // A result lives in its owning shard's journal, so the routing is
+    // part of the on-disk layout: pin literal shards.
+    const std::map<std::string, std::vector<unsigned>> pinned = {
+        {"fingerprint-0", {0, 1, 0}},
+        {"fingerprint-1", {1, 2, 3}},
+        {"fingerprint-2", {0, 0, 2}},
+        {"fingerprint-3", {1, 1, 1}},
+    };
+    for (const auto &[fp, shards] : pinned)
+        for (unsigned n = 2; n <= 4; ++n)
+            EXPECT_EQ(ShardedResultStore::shardOf(fp, n), shards[n - 2])
+                << fp << " at " << n << " shards";
 }
 
 TEST(Sharding, RequestsLandOnTheOwningShardCache)

@@ -420,6 +420,15 @@ TEST(ResultStore, EncodeFrameMatchesTheDocumentedLayout)
     EXPECT_EQ(static_cast<std::uint8_t>(frame[12]), 7);
     EXPECT_EQ(frame.substr(ResultStore::kHeaderBytes, 2), "fp");
     EXPECT_EQ(frame.substr(ResultStore::kHeaderBytes + 2, 7), "payload");
+    // The little-endian FNV-1a checksum of everything before it.  Its
+    // basis is part of the on-disk format: different bytes here would
+    // fail every existing frame, and recovery would empty the store.
+    std::uint64_t checksum = 0;
+    for (std::size_t i = 0; i < ResultStore::kChecksumBytes; ++i)
+        checksum |= std::uint64_t{static_cast<std::uint8_t>(
+                        frame[frame.size() - ResultStore::kChecksumBytes + i])}
+                    << (8 * i);
+    EXPECT_EQ(checksum, 0xae6f18395433f440ULL);
 }
 
 } // namespace
