@@ -15,6 +15,9 @@ main(int argc, char **argv)
     const auto opt = bench::parseOptions(argc, argv);
     bench::banner("Driver features: prefetch, batching, writeback", opt);
 
+    // Block size 16 is PrefetchConfig's default.
+    static constexpr prefetch::PrefetchConfig kSequential15{
+        .kind = prefetch::PrefetchKind::Sequential, .degree = 15};
     struct Variant
     {
         const char *name;
@@ -22,10 +25,10 @@ main(int argc, char **argv)
     };
     const std::vector<Variant> variants = {
         {"paper default", [](DriverConfig &) {}},
-        {"prefetch 15", [](DriverConfig &d) { d.prefetchDegree = 15; }},
+        {"prefetch 15", [](DriverConfig &d) { d.prefetch = kSequential15; }},
         {"batch 8", [](DriverConfig &d) { d.batchSize = 8; }},
         {"prefetch+batch", [](DriverConfig &d) {
-             d.prefetchDegree = 15;
+             d.prefetch = kSequential15;
              d.batchSize = 8;
          }},
     };

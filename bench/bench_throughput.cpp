@@ -117,29 +117,29 @@ main(int argc, char **argv)
     std::vector<Trace> sweep_traces;
     for (const std::string &app : apps)
         sweep_traces.push_back(buildApp(app, opt.scale, opt.seed));
-    std::vector<SweepJob> jobs;
-    for (const Trace &trace : sweep_traces)
-        for (PolicyKind kind : kinds)
-            jobs.push_back(SweepJob{&trace, kind, cfg, /*functional=*/true});
+    const std::size_t jobs = sweep_traces.size() * kinds.size();
+    const auto runCell = [&](std::size_t i) {
+        return runFunctional(sweep_traces[i / kinds.size()],
+                             kinds[i % kinds.size()], cfg);
+    };
 
     SweepRunner serial(1);
     const auto s0 = Clock::now();
-    const auto serial_out = serial.run(jobs);
+    const auto serial_out = serial.map(jobs, runCell);
     const double serial_s = secondsSince(s0);
 
     SweepRunner parallel(par);
     const auto p0 = Clock::now();
-    const auto parallel_out = parallel.run(jobs);
+    const auto parallel_out = parallel.map(jobs, runCell);
     const double parallel_s = secondsSince(p0);
 
     bool identical = serial_out.size() == parallel_out.size();
     for (std::size_t i = 0; identical && i < serial_out.size(); ++i)
-        identical = serial_out[i].paging.faults == parallel_out[i].paging.faults
-            && serial_out[i].paging.evictions
-                == parallel_out[i].paging.evictions;
+        identical = serial_out[i].faults == parallel_out[i].faults
+            && serial_out[i].evictions == parallel_out[i].evictions;
     const double speedup = parallel_s > 0 ? serial_s / parallel_s : 0.0;
 
-    std::cout << "\nsweep: " << jobs.size() << " (app x policy) jobs\n"
+    std::cout << "\nsweep: " << jobs << " (app x policy) jobs\n"
               << "  serial (--jobs 1):   " << TextTable::num(serial_s, 2)
               << " s\n"
               << "  parallel (--jobs " << par << "): "
@@ -175,7 +175,7 @@ main(int argc, char **argv)
          << TextTable::num(func_gm, 0) << ", \"timing_krefs_per_s\": "
          << TextTable::num(timing_gm, 0) << "},\n"
          << "  \"sweep\": {\n"
-         << "    \"jobs\": " << jobs.size() << ",\n"
+         << "    \"jobs\": " << jobs << ",\n"
          << "    \"serial_seconds\": " << TextTable::num(serial_s, 3) << ",\n"
          << "    \"parallel_jobs\": " << par << ",\n"
          << "    \"parallel_seconds\": " << TextTable::num(parallel_s, 3)

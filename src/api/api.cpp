@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 #include "api/registry.hpp"
 #include "common/log.hpp"
@@ -13,18 +14,6 @@ namespace hpe::api {
 
 namespace {
 
-/** 64-bit FNV-1a over a byte string (the fingerprint hash). */
-std::uint64_t
-fnv1aBytes(const std::string &bytes)
-{
-    std::uint64_t hash = 14695981039346656037ULL;
-    for (unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 1099511628211ULL;
-    }
-    return hash;
-}
-
 /** Is @p s entirely decimal digits (the legacy --prefetch N spelling)? */
 bool
 allDigits(const std::string &s)
@@ -32,31 +21,6 @@ allDigits(const std::string &s)
     if (s.empty())
         return false;
     return s.find_first_not_of("0123456789") == std::string::npos;
-}
-
-/**
- * Validate a trace-event filter list without exiting: the daemon turns
- * the message into an error response.  Mirrors trace::parseEventMask.
- */
-bool
-validEventMask(const std::string &list, std::string &error)
-{
-    if (list.empty() || list == "all")
-        return true;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string name = list.substr(
-            pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        if (!name.empty() && !trace::eventKindByName(name).has_value()) {
-            error = strformat("unknown trace event '{}'", name);
-            return false;
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return true;
 }
 
 /** Typed member readers for fromJson(); set @p error and return false on
@@ -274,55 +238,45 @@ ExperimentRequest::fromJson(const json::Value &v, std::string &error)
             return std::nullopt;
     }
 
-    // Validate names without exiting; normalize() below would usageFatal.
-    if (!findApp(req.app)) {
-        error = unknownNameMessage("application", req.app, appNames());
+    // Check before normalize(), which would usageFatal on unknown names.
+    if (!req.check(error))
         return std::nullopt;
-    }
-    if (!findPolicy(req.policy)) {
-        error = unknownNameMessage("policy", req.policy, policyNames());
-        return std::nullopt;
-    }
-    if (!allDigits(req.prefetch) && !findPrefetchKind(req.prefetch)) {
-        error = unknownNameMessage("prefetcher", req.prefetch,
-                                   prefetchNames());
-        return std::nullopt;
-    }
-    if (!validEventMask(req.traceEvents, error))
-        return std::nullopt;
-    if (!parsePageSizes(req.pageSizes, error).has_value())
-        return std::nullopt;
-    if (req.oversub <= 0.0 || req.oversub > 1.0) {
-        error = "field 'oversub' must be in (0, 1]";
-        return std::nullopt;
-    }
-    if (req.scale <= 0.0) {
-        error = "field 'scale' must be positive";
-        return std::nullopt;
-    }
-    if (req.faultBatch == 0) {
-        error = "field 'fault_batch' must be at least 1";
-        return std::nullopt;
-    }
-    if (req.traceRing == 0) {
-        error = "field 'trace_ring' must be positive";
-        return std::nullopt;
-    }
-    for (double p : {req.chaos.pcieFail, req.chaos.pcieStall,
-                     req.chaos.serviceTimeout, req.chaos.shootdownDrop,
-                     req.chaos.walkError}) {
-        if (p < 0.0 || p > 1.0) {
-            error = "chaos probabilities must be in [0, 1]";
-            return std::nullopt;
-        }
-    }
-    if (req.chaos.walkError >= 1.0 || req.chaos.shootdownDrop >= 1.0) {
-        error = "chaos walk-error/shootdown-drop probability must be < 1";
-        return std::nullopt;
-    }
-
     req.normalize();
     return req;
+}
+
+bool
+ExperimentRequest::check(std::string &error) const
+{
+    const auto fail = [&error](std::string message) {
+        error = std::move(message);
+        return false;
+    };
+    if (!findApp(app))
+        return fail(unknownNameMessage("application", app, appNames()));
+    if (!findPolicy(policy))
+        return fail(unknownNameMessage("policy", policy, policyNames()));
+    if (!allDigits(prefetch) && !findPrefetchKind(prefetch))
+        return fail(
+            unknownNameMessage("prefetcher", prefetch, prefetchNames()));
+    if (!trace::parseEventMask(traceEvents, error).has_value()
+        || !parsePageSizes(pageSizes, error).has_value())
+        return false;
+    if (!(oversub > 0.0 && oversub <= 1.0))
+        return fail("field 'oversub' must be in (0, 1]");
+    if (!(scale > 0.0))
+        return fail("field 'scale' must be positive");
+    if (faultBatch == 0)
+        return fail("field 'fault_batch' must be at least 1");
+    if (traceRing == 0)
+        return fail("field 'trace_ring' must be positive");
+    for (double p : {chaos.pcieFail, chaos.pcieStall, chaos.serviceTimeout,
+                     chaos.shootdownDrop, chaos.walkError})
+        if (!(p >= 0.0 && p <= 1.0))
+            return fail("chaos probabilities must be in [0, 1]");
+    if (chaos.walkError >= 1.0 || chaos.shootdownDrop >= 1.0)
+        return fail("chaos walk-error/shootdown-drop probability must be < 1");
+    return true;
 }
 
 std::string
@@ -330,7 +284,9 @@ ExperimentRequest::fingerprint() const
 {
     ExperimentRequest canonical = *this;
     canonical.normalize();
-    return trace::digestHex(fnv1aBytes(canonical.toJson().dump()));
+    trace::Fnv1a fnv;
+    fnv.fold(canonical.toJson().dump());
+    return trace::digestHex(fnv.value());
 }
 
 json::Value
@@ -440,6 +396,15 @@ runExperimentInspect(const ExperimentRequest &request,
     if (trace == nullptr) {
         local.emplace(buildApp(req.app, req.scale, req.seed));
         trace = &*local;
+    }
+    // Whether a large page fits depends on the trace's footprint, so it
+    // is checked here, not in check().  Only with the axis on: framesFor
+    // walks the whole trace.
+    if (cfg.gpu.pageSizes.active()) {
+        std::string error;
+        if (!pageSizesFit(cfg.gpu.pageSizes, framesFor(*trace, cfg.oversub),
+                          error))
+            throw std::invalid_argument(error);
     }
 
     TraceAttachments attach;

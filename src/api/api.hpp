@@ -3,21 +3,27 @@
  * The stable hpe::api façade: one value-typed request, one value-typed
  * result, one entry point.
  *
- * Every consumer of the simulator — the `run`/`compare`/`sweep`/`report`
- * CLI subcommands, the benches, and the hpe_serve daemon — describes an
- * experiment as an ExperimentRequest and executes it through
- * runExperiment().  A request is a pure value with JSON (de)serialization
- * and a **canonical fingerprint**: normalize() folds every accepted
- * spelling (name case, the legacy numeric --prefetch) onto one canonical
- * form, toJson() emits it with every field explicit and keys sorted, and
- * fingerprint() hashes exactly those bytes.  Two requests that mean the
- * same experiment therefore hash identically — which is what makes the
- * daemon's content-addressed result cache sound.
+ * The layering: the `run`/`compare`/`sweep`/`report`/`submit` CLI
+ * subcommands, the tournament and the hpe_serve daemon describe an
+ * experiment as an ExperimentRequest and execute it through
+ * runExperiment().  The benches and examples, which need HPE knobs no
+ * request exposes, call runFunctional()/runTiming() with a RunConfig.
+ * Both reach the one execution path, runFunctionalInspect() /
+ * runTimingInspect() in sim/experiment.hpp.
+ *
+ * A request is a pure value with JSON (de)serialization, one validator
+ * (check(), shared by fromJson() and the CLI) and a **canonical
+ * fingerprint**: normalize() folds every accepted spelling (name case,
+ * the legacy numeric --prefetch) onto one canonical form, toJson() emits
+ * it with every field explicit and keys sorted, and fingerprint() hashes
+ * exactly those bytes.  Two requests that mean the same experiment
+ * therefore hash identically — which is what makes the daemon's
+ * content-addressed result cache sound.
  *
  * The contract the equivalence test suite pins: a given request produces
  * byte-identical results (same trace digests, same stat values) whether
  * it is executed via the CLI, a parallel sweep, or the daemon, because
- * all three paths funnel through buildRunConfig()/runExperimentInspect().
+ * all three paths go through buildRunConfig()/runExperimentInspect().
  */
 
 #pragma once
@@ -93,19 +99,27 @@ struct ExperimentRequest
      * Fold every accepted spelling onto the canonical one: registry-
      * canonical app/policy/prefetch names (case-insensitive input) and
      * the numeric legacy prefetch.  usageFatal() on unknown names —
-     * callers that must not exit validate via fromJson() instead.
+     * callers that must not exit call check() first.
      */
     void normalize();
+
+    /**
+     * The one request validator: known names, a valid event list and
+     * page-size spelling, in-range values and chaos probabilities.  On
+     * false, @p error holds the message the daemon answers with.  Either
+     * spelling of a name passes, so this may run before or after
+     * normalize().
+     */
+    bool check(std::string &error) const;
 
     /** Canonical JSON object (call normalize() first for canonical
      *  name spellings); every field explicit, keys sorted. */
     json::Value toJson() const;
 
     /**
-     * Parse and validate a request object; unknown keys, type errors and
-     * unknown names are reported through @p error (with the registry's
-     * uniform wording) instead of exiting.  The returned request is
-     * normalized.
+     * Parse a request object, check() it, and normalize it; unknown
+     * keys, type errors and check() failures are reported through
+     * @p error instead of exiting.
      */
     static std::optional<ExperimentRequest> fromJson(const json::Value &v,
                                                      std::string &error);
@@ -170,7 +184,9 @@ struct ExperimentArtifacts
 /**
  * Execute @p req and return its result.  @p prebuilt optionally supplies
  * the workload trace (the sweep builds each app's trace once and shares
- * it read-only across cells); it must match req.app/scale/seed.
+ * it read-only across cells); it must match req.app/scale/seed.  Throws
+ * std::invalid_argument when a large page class does not fit in the GPU
+ * memory the trace's footprint yields (the one check needing the trace).
  */
 ExperimentResult runExperiment(const ExperimentRequest &req,
                                const Trace *prebuilt = nullptr);

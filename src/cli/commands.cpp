@@ -10,6 +10,7 @@
 #include <optional>
 #include <ostream>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,7 +47,9 @@ allDigits(const std::string &s)
  *
  * Name lookups go through the hpe::api registry: case-insensitive, with
  * unknown names exiting through usageFatal() (distinct exit code, uniform
- * "unknown <what> '<name>' (valid: ...)" message).  The caller decides
+ * "unknown <what> '<name>' (valid: ...)" message).  Every other problem
+ * is found by ExperimentRequest::check(), the daemon's validator, and
+ * exits through fatal() with the daemon's message.  The caller decides
  * the interval/trace attachment fields, which are command-specific.
  */
 api::ExperimentRequest
@@ -74,12 +77,7 @@ requestFromArgs(const Args &args)
     }
     req.prefetchDegree =
         static_cast<unsigned>(args.getUint("prefetch-degree", 4));
-    if (args.has("fault-batch")) {
-        const auto batch = args.getUint("fault-batch", 1);
-        if (batch == 0)
-            fatal("--fault-batch must be at least 1");
-        req.faultBatch = static_cast<unsigned>(batch);
-    }
+    req.faultBatch = static_cast<unsigned>(args.getUint("fault-batch", 1));
     // Page-size axis; normalize() canonicalizes the spelling and rejects
     // unknown size tokens through usageFatal().
     if (args.has("page-sizes"))
@@ -109,11 +107,11 @@ requestFromArgs(const Args &args)
     req.traceEvents = args.get("trace-events", "all");
     req.traceRing =
         static_cast<std::size_t>(args.getUint("trace-ring", 1u << 16));
-    if (req.traceRing == 0)
-        fatal("--trace-ring must be positive");
     req.stats = args.has("stats");
 
     req.normalize();
+    if (std::string error; !req.check(error))
+        fatal("{}", error);
     return req;
 }
 
@@ -718,7 +716,7 @@ printUsage(std::ostream &os)
 
 int
 dispatch(const Args &args, std::ostream &os)
-{
+try {
     if (args.command() == "run")
         return runCommand(args, os);
     if (args.command() == "compare")
@@ -739,6 +737,11 @@ dispatch(const Args &args, std::ostream &os)
         return listCommand(args, os);
     printUsage(os);
     return args.command().empty() ? 0 : 1;
+} catch (const std::invalid_argument &e) {
+    // A request that passes check() can still be refused once its trace
+    // exists (a large page class that does not fit in GPU memory).  The
+    // parallel cells of sweep and compare rethrow it here too.
+    fatal("{}", e.what());
 }
 
 } // namespace hpe::cli

@@ -42,7 +42,10 @@ int listCommand(const Args &args, std::ostream &os);
 /** Usage text. */
 void printUsage(std::ostream &os);
 
-/** Dispatch on args.command(); returns the process exit code. */
+/**
+ * Dispatch on args.command(); returns the process exit code.  A run the
+ * api refuses with std::invalid_argument exits through fatal().
+ */
 int dispatch(const Args &args, std::ostream &os);
 
 } // namespace hpe::cli

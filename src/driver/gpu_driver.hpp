@@ -65,22 +65,11 @@ struct DriverConfig
     Cycle serviceInitiationCycles = microsToCycles(5.0);
 
     /**
-     * Sequential prefetch: on each serviced fault, migrate up to this
-     * many following non-resident pages of the same aligned 16-page block
-     * in as well (the NVIDIA driver's basic-block prefetch heuristic).
-     * Prefetching only fills *free* frames — it never evicts.  0 = off
-     * (the paper's configuration).
-     *
-     * Legacy knob: when prefetch.kind is None and this is non-zero, the
-     * driver builds a sequential prefetcher with this degree and
-     * prefetchBlockPages, preserving the original behaviour bit for bit.
+     * Prefetcher run after each serviced fault; it only fills *free*
+     * frames, never evicts.  Kind None (the paper's configuration) means
+     * demand paging only; Sequential is the NVIDIA driver's basic-block
+     * heuristic over aligned prefetch.blockPages-page blocks.
      */
-    unsigned prefetchDegree = 0;
-
-    /** Aligned block size the legacy sequential prefetcher stays within. */
-    unsigned prefetchBlockPages = 16;
-
-    /** Pluggable prefetcher selection (kind None = demand paging only). */
     prefetch::PrefetchConfig prefetch{};
 
     /**
@@ -124,23 +113,14 @@ class GpuDriver
         : cfg_(cfg), uvm_(uvm), pcie_(pcie), eq_(eq), hpe_(hpe),
           stats_(stats), name_(name),
           batcher_(std::max(1u, cfg.batchSize)),
+          prefetcher_(prefetch::makePrefetcher(cfg.prefetch)),
           serviced_(stats.counter(name + ".faultsServiced")),
           merged_(stats.counter(name + ".faultsMerged")),
           prefetched_(stats.counter(name + ".pagesPrefetched")),
           batches_(stats.counter(name + ".batches")),
           queueDepth_(stats.distribution(name + ".queueDepth")),
           batchOccupancy_(stats.distribution(name + ".batchOccupancy"))
-    {
-        // Legacy back-compat: the old --prefetch N knob maps onto the
-        // sequential prefetcher with the configured block size.
-        if (cfg_.prefetch.kind == prefetch::PrefetchKind::None
-            && cfg_.prefetchDegree > 0) {
-            cfg_.prefetch.kind = prefetch::PrefetchKind::Sequential;
-            cfg_.prefetch.degree = cfg_.prefetchDegree;
-            cfg_.prefetch.blockPages = cfg_.prefetchBlockPages;
-        }
-        prefetcher_ = prefetch::makePrefetcher(cfg_.prefetch);
-    }
+    {}
 
     /**
      * Attach a chaos injector: fault services may now time out or have

@@ -173,22 +173,41 @@ parsePageSizes(std::string_view list, std::string &error)
 }
 
 /**
- * Panic unless @p cfg is usable with a frame pool of @p frames pages: a
- * large page must fit in GPU memory, or promotion could never succeed and
- * the aligned-run allocator's bitmap math would be meaningless.  The
- * EXPECT_DEATH leg of the coalescer fuzz suite pins this check.
+ * Is @p cfg usable with a frame pool of @p frames pages?  A large page
+ * must fit in GPU memory, or promotion could never succeed and the
+ * aligned-run allocator's bitmap math would be meaningless.  On false,
+ * @p error names the offending class — callers that must not abort (the
+ * api, hence the daemon) report it as a failed run.
+ */
+inline bool
+pageSizesFit(const PageSizeConfig &cfg, std::size_t frames, std::string &error)
+{
+    for (unsigned order : cfg.largeOrders) {
+        const std::uint64_t span = std::uint64_t{1} << order;
+        if (span < 2) {
+            error = strformat("large page class of order {} is not large",
+                              order);
+            return false;
+        }
+        if (span > frames) {
+            error = strformat(
+                "page size {} spans {} frames but the pool holds only {}",
+                PageSizeConfig::sizeName(order), span, frames);
+            return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * Panic unless pageSizesFit(): past the api a misfit is a programming
+ * error.  The EXPECT_DEATH leg of the coalescer fuzz suite pins this.
  */
 inline void
 validatePageSizes(const PageSizeConfig &cfg, std::size_t frames)
 {
-    for (unsigned order : cfg.largeOrders) {
-        const std::uint64_t span = std::uint64_t{1} << order;
-        HPE_ASSERT(span >= 2,
-                   "large page class of order {} is not large", order);
-        HPE_ASSERT(span <= frames,
-                   "page size {} spans {} frames but the pool holds only {}",
-                   PageSizeConfig::sizeName(order), span, frames);
-    }
+    std::string error;
+    HPE_ASSERT(pageSizesFit(cfg, frames, error), "{}", error);
 }
 
 } // namespace hpe

@@ -13,13 +13,14 @@
  * rather than its protected tier, so speculation cannot pollute the
  * working set.
  *
- * Four implementations, selected PolicyFactory-style by PrefetchKind:
+ * Four implementations, selected PolicyFactory-style by the PrefetchKind
+ * in DriverConfig::prefetch (the one place every mode reads it from):
  *
  *  - none:       no prefetcher object at all; bit-for-bit identical to
  *                the paper's demand-paging configuration;
  *  - sequential: the next N pages of the same aligned 16-page block (the
- *                NVIDIA driver's basic-block heuristic, and exactly the
- *                semantics of the legacy DriverConfig::prefetchDegree);
+ *                NVIDIA driver's basic-block heuristic; the deprecated
+ *                numeric --prefetch N spelling normalizes onto it);
  *  - stride:     per-stream (per-warp) stride detection with a small
  *                confidence counter;
  *  - density:    NVIDIA-style tree prefetcher over 64 KiB basins — once

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <string_view>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -15,23 +16,19 @@
 #include <unistd.h>
 
 #include "common/log.hpp"
+#include "trace/trace_sink.hpp"
 
 namespace hpe::serve {
 
 namespace {
 
-/** FNV-1a 64 over raw bytes (the frame checksum). */
+/** The frame checksum: FNV-1a 64 over raw bytes. */
 std::uint64_t
-fnv1aBytes(const char *data, std::size_t size)
+checksum(std::string_view bytes)
 {
-    constexpr std::uint64_t kOffset = 1469598103934665603ULL;
-    constexpr std::uint64_t kPrime = 1099511628211ULL;
-    std::uint64_t hash = kOffset;
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= static_cast<unsigned char>(data[i]);
-        hash *= kPrime;
-    }
-    return hash;
+    trace::Fnv1a fnv(ResultStore::kHashBasis);
+    fnv.fold(bytes);
+    return fnv.value();
 }
 
 void
@@ -146,7 +143,7 @@ ResultStore::encodeFrame(const std::string &fingerprint,
     putU32(frame, static_cast<std::uint32_t>(payload.size()));
     frame += fingerprint;
     frame += payload;
-    putU64(frame, fnv1aBytes(frame.data(), frame.size()));
+    putU64(frame, checksum(frame));
     return frame;
 }
 
@@ -314,8 +311,8 @@ ResultStore::replaySegment(const std::string &path, std::string &error)
             total = frameSize(fpLen, payLen);
             intact = remaining >= total
                      && getU64(data.data() + off + total - kChecksumBytes)
-                            == fnv1aBytes(data.data() + off,
-                                          total - kChecksumBytes);
+                            == checksum(std::string_view(data).substr(
+                                off, total - kChecksumBytes));
         }
         if (!intact) {
             // Torn tail (or bit rot): keep the intact prefix, drop the

@@ -144,6 +144,14 @@ class ResultStore
     static constexpr std::size_t kHeaderBytes = 16;
     /** Bytes of the trailing checksum. */
     static constexpr std::size_t kChecksumBytes = 8;
+    /**
+     * FNV-1a basis of the frame checksum and of shard routing.  It is one
+     * digit short of the standard basis (trace::Fnv1a::kOffsetBasis), and
+     * it is part of the on-disk format: with any other basis every
+     * existing frame would fail its checksum and recovery would truncate
+     * it.
+     */
+    static constexpr std::uint64_t kHashBasis = 1469598103934665603ULL;
 
     /** Total on-disk bytes of a frame with these section lengths. */
     static constexpr std::size_t

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "common/log.hpp"
+#include "trace/trace_sink.hpp"
 
 namespace hpe::serve {
 
@@ -65,12 +66,9 @@ ShardedResultStore::shardOf(const std::string &fingerprint, unsigned shards)
     // FNV-1a over the fingerprint text.  The fingerprint is itself a
     // hash, but of different bytes — hashing again keeps the routing
     // independent of how fingerprints are spelled.
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : fingerprint) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return static_cast<unsigned>(h % std::max(shards, 1u));
+    trace::Fnv1a fnv(ResultStore::kHashBasis);
+    fnv.fold(fingerprint);
+    return static_cast<unsigned>(fnv.value() % std::max(shards, 1u));
 }
 
 std::string

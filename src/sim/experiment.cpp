@@ -31,14 +31,6 @@ runFunctionalInspect(const Trace &trace, PolicyKind kind, const RunConfig &cfg,
                        .faultBatch = cfg.gpu.driver.batchSize,
                        .prefetch = cfg.gpu.driver.prefetch,
                        .pageSizes = cfg.gpu.pageSizes};
-    // The legacy --prefetch N knob maps onto the sequential prefetcher,
-    // mirroring the timing driver's back-compat rule.
-    if (opts.prefetch.kind == prefetch::PrefetchKind::None
-        && cfg.gpu.driver.prefetchDegree > 0) {
-        opts.prefetch.kind = prefetch::PrefetchKind::Sequential;
-        opts.prefetch.degree = cfg.gpu.driver.prefetchDegree;
-        opts.prefetch.blockPages = cfg.gpu.driver.prefetchBlockPages;
-    }
     run.paging = runPaging(trace, *run.policy, framesFor(trace, cfg.oversub),
                            *run.stats, opts);
     return run;

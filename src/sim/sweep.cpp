@@ -23,38 +23,4 @@ resolveJobs(unsigned requested)
     return ThreadPool::hardwareThreads();
 }
 
-std::vector<SweepOutcome>
-SweepRunner::run(const std::vector<SweepJob> &jobs)
-{
-    return map(jobs.size(), [&](std::size_t i) {
-        const SweepJob &job = jobs[i];
-        HPE_ASSERT(job.trace != nullptr, "sweep job {} has no trace", i);
-        SweepOutcome out;
-        // Each traced job owns its sink; callers reduce the digests in
-        // job-index order (combineDigests) so the combined value is the
-        // same for every --jobs setting.
-        std::unique_ptr<trace::TraceSink> sink;
-        TraceAttachments attach;
-        if (job.trace_cfg.enabled) {
-            sink = std::make_unique<trace::TraceSink>(trace::TraceSink::Config{
-                .ringCapacity = job.trace_cfg.ringCapacity,
-                .mask = job.trace_cfg.mask});
-            attach.sink = sink.get();
-        }
-        if (job.functional)
-            out.paging = runFunctionalInspect(*job.trace, job.kind, job.cfg,
-                                              attach)
-                             .paging;
-        else
-            out.timing = runTimingInspect(*job.trace, job.kind, job.cfg,
-                                          attach)
-                             .timing;
-        if (sink != nullptr) {
-            out.traceDigest = sink->digest();
-            out.traceEvents = sink->emitted();
-        }
-        return out;
-    });
-}
-
 } // namespace hpe

@@ -4,10 +4,13 @@
  *
  * Every figure/table of the paper is a sweep over independent
  * (trace, policy, oversubscription, seed) simulations, and so are the
- * design-space explorations the ROADMAP aims at.  SweepRunner fans such
- * jobs out across a ThreadPool and reduces the results **in job-index
- * order**, so any output derived from them is byte-identical to a serial
- * run: parallelism changes wall-clock time, never a single table cell.
+ * design-space explorations the ROADMAP aims at.  SweepRunner is only a
+ * parallel map: it fans such jobs out across a ThreadPool and returns the
+ * results **in job-index order**, so any output derived from them is
+ * byte-identical to a serial run: parallelism changes wall-clock time,
+ * never a single table cell.  What a job runs is the caller's choice —
+ * api::runExperiment for requests, runFunctional/runTiming (or their
+ * *Inspect forms) for RunConfig-level studies.
  *
  * Job-count resolution (resolveJobs): an explicit request wins; else the
  * HPE_JOBS environment variable; else the hardware thread count.  Every
@@ -29,7 +32,6 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "sim/experiment.hpp"
 
 namespace hpe {
 
@@ -39,38 +41,6 @@ namespace hpe {
  * hardware thread count.  Never returns 0.
  */
 unsigned resolveJobs(unsigned requested = 0);
-
-/** Per-job event-tracing request (value type — each job builds its own
- *  sink from it, so parallel jobs never share trace state). */
-struct SweepTraceConfig
-{
-    bool enabled = false;
-    trace::EventMask mask = trace::kAllEvents;
-    std::size_t ringCapacity = 1u << 16;
-};
-
-/** One (trace, policy, oversubscription, seed) simulation request. */
-struct SweepJob
-{
-    /** Workload; not owned, must outlive the sweep. */
-    const Trace *trace = nullptr;
-    PolicyKind kind = PolicyKind::Lru;
-    RunConfig cfg{};
-    /** Functional (exact counts) or timing (IPC) simulator. */
-    bool functional = true;
-    SweepTraceConfig trace_cfg{};
-};
-
-/** Outcome of one SweepJob (the half matching SweepJob::functional). */
-struct SweepOutcome
-{
-    PagingResult paging{};
-    TimingResult timing{};
-    /** @{ valid when the job's SweepTraceConfig was enabled */
-    std::uint64_t traceDigest = 0;
-    std::uint64_t traceEvents = 0;
-    /** @} */
-};
 
 /** Deterministic parallel map over independent simulation jobs. */
 class SweepRunner
@@ -109,12 +79,6 @@ class SweepRunner
     {
         return map(items.size(), [&](std::size_t i) { return fn(items[i]); });
     }
-
-    /** Run typed simulation jobs; outcomes align with @p jobs. */
-    std::vector<SweepOutcome> run(const std::vector<SweepJob> &jobs);
-
-    /** The underlying pool (for callers composing their own fan-out). */
-    ThreadPool &pool() { return pool_; }
 
   private:
     ThreadPool pool_;

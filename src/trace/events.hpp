@@ -183,11 +183,12 @@ subKindName(EventKind kind, std::uint8_t sub)
 
 /**
  * Parse a comma-separated list of event-kind names into a mask
- * ("far_fault,eviction"); "all" selects every kind.  fatal() on an
- * unknown name, listing the valid ones.
+ * ("far_fault,eviction"); "" and "all" select every kind.  An unknown
+ * name, or a list that names no kind at all (","), sets @p error and
+ * returns nullopt — the one event-list grammar of the CLI and the wire.
  */
-inline EventMask
-parseEventMask(std::string_view list)
+inline std::optional<EventMask>
+parseEventMask(std::string_view list, std::string &error)
 {
     if (list.empty() || list == "all")
         return kAllEvents;
@@ -208,8 +209,10 @@ parseEventMask(std::string_view list)
                         known += ",";
                     known += eventKindName(static_cast<EventKind>(k));
                 }
-                fatal("unknown trace event '{}' (expected one of {})",
-                      std::string(name), known);
+                error = strformat(
+                    "unknown trace event '{}' (expected one of {})",
+                    std::string(name), known);
+                return std::nullopt;
             }
             mask |= maskOf(*kind);
         }
@@ -217,9 +220,22 @@ parseEventMask(std::string_view list)
             break;
         pos = comma + 1;
     }
-    if (mask == 0)
-        fatal("empty trace event list");
+    if (mask == 0) {
+        error = "empty trace event list";
+        return std::nullopt;
+    }
     return mask;
+}
+
+/** parseEventMask() for callers that exit on a bad list: fatal(). */
+inline EventMask
+parseEventMask(std::string_view list)
+{
+    std::string error;
+    const auto mask = parseEventMask(list, error);
+    if (!mask.has_value())
+        fatal("{}", error);
+    return *mask;
 }
 
 } // namespace hpe::trace

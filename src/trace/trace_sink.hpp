@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/log.hpp"
@@ -31,10 +32,19 @@
 
 namespace hpe::trace {
 
-/** 64-bit FNV-1a over explicit little-endian words (platform-stable). */
+/**
+ * 64-bit FNV-1a over explicit little-endian words or raw bytes
+ * (platform-stable): trace digests, request fingerprints, journal
+ * checksums and shard routing all hash through it.
+ */
 class Fnv1a
 {
   public:
+    static constexpr std::uint64_t kOffsetBasis = 14695981039346656037ULL;
+
+    /** @param basis start value; the journal pins a non-standard one. */
+    explicit Fnv1a(std::uint64_t basis = kOffsetBasis) : hash_(basis) {}
+
     /** Fold one 64-bit value, least-significant byte first. */
     void
     fold(std::uint64_t v)
@@ -45,12 +55,21 @@ class Fnv1a
         }
     }
 
+    /** Fold every byte of @p bytes, in order. */
+    void
+    fold(std::string_view bytes)
+    {
+        for (const unsigned char c : bytes) {
+            hash_ ^= c;
+            hash_ *= kPrime;
+        }
+    }
+
     std::uint64_t value() const { return hash_; }
 
   private:
-    static constexpr std::uint64_t kOffset = 14695981039346656037ULL;
     static constexpr std::uint64_t kPrime = 1099511628211ULL;
-    std::uint64_t hash_ = kOffset;
+    std::uint64_t hash_;
 };
 
 /** Format @p digest as the canonical 16-hex-digit string. */

@@ -200,6 +200,9 @@ TEST(Request, FromJsonValidatesRanges)
         fromText(R"({"chaos":{"walk_error":1.0}})", error).has_value());
     EXPECT_FALSE(fromText(R"({"trace_events":"bogus"})", error).has_value());
     EXPECT_NE(error.find("unknown trace event"), std::string::npos);
+    // Separators only name no event kind.
+    EXPECT_FALSE(fromText(R"({"trace_events":","})", error).has_value());
+    EXPECT_NE(error.find("empty trace event list"), std::string::npos);
 }
 
 TEST(Request, ChaosObjectPresenceArmsInjection)

@@ -246,6 +246,28 @@ TEST(Commands, RunIntervalStatsCsvToFile)
     std::remove(path.c_str());
 }
 
+TEST(Commands, RunOutOfRangeOversubExitsWithDaemonMessage)
+{
+    std::ostringstream os;
+    for (const char *oversub : {"1.5", "nan"}) {
+        const Args a = parse({"run", "--app", "STN", "--scale", "0.05",
+                              "--functional", "--oversub", oversub});
+        EXPECT_EXIT({ dispatch(a, os); }, ::testing::ExitedWithCode(1),
+                    "field 'oversub' must be in \\(0, 1\\]")
+            << oversub;
+    }
+}
+
+TEST(Commands, RunLargePageClassThatDoesNotFitExits)
+{
+    // STN at 75% gets 480 frames; a 2 MiB page spans 512.
+    std::ostringstream os;
+    const Args a = parse({"run", "--app", "STN", "--functional",
+                          "--page-sizes", "4k,2m"});
+    EXPECT_EXIT({ dispatch(a, os); }, ::testing::ExitedWithCode(1),
+                "page size 2m spans 512 frames");
+}
+
 TEST(Commands, RunTraceOptionsWithoutConsumerAreFatal)
 {
     std::ostringstream os;

@@ -109,7 +109,8 @@ class PrefetchTest : public ::testing::Test
     PrefetchTest()
         : uvm_(64, lru_, stats_, "uvm"), pcie_(PcieConfig{}, stats_, "pcie")
     {
-        cfg_.prefetchDegree = 4;
+        cfg_.prefetch = {.kind = prefetch::PrefetchKind::Sequential,
+                         .degree = 4};
     }
 
     GpuDriver
@@ -192,7 +193,8 @@ TEST(PrefetchTiming, CutsStreamingFaultsAtLowConcurrency)
     off.oversub = on.oversub = 1.0;
     off.gpu.numSms = on.gpu.numSms = 1;
     off.gpu.warpsPerSm = on.gpu.warpsPerSm = 1;
-    on.gpu.driver.prefetchDegree = 15;
+    on.gpu.driver.prefetch = {.kind = prefetch::PrefetchKind::Sequential,
+                              .degree = 15};
     const auto base = runTiming(t, PolicyKind::Lru, off);
     const auto pf = runTiming(t, PolicyKind::Lru, on);
     EXPECT_EQ(base.faults, 256u);

@@ -308,21 +308,6 @@ TEST(PrefetchFunctional, SequentialPrefetchReducesFaultsOnStreamingApp)
     EXPECT_GT(pf.prefetchAccuracy(), 0.0);
 }
 
-TEST(PrefetchFunctional, LegacyNumericDegreeMatchesSequentialKind)
-{
-    const Trace t = buildApp("BFS", 0.1);
-    RunConfig legacy;
-    legacy.gpu.driver.prefetchDegree = 4;
-    RunConfig modern;
-    modern.gpu.driver.prefetch.kind = PrefetchKind::Sequential;
-    modern.gpu.driver.prefetch.degree = 4;
-    const auto a = runFunctional(t, PolicyKind::Lru, legacy);
-    const auto b = runFunctional(t, PolicyKind::Lru, modern);
-    EXPECT_EQ(a.faults, b.faults);
-    EXPECT_EQ(a.prefetches, b.prefetches);
-    EXPECT_EQ(a.evictions, b.evictions);
-}
-
 namespace clitest {
 
 cli::Args

@@ -373,9 +373,27 @@ TEST(Serve, InvalidRequestsGetErrorResponsesNotCrashes)
     EXPECT_NE(badType.find("error")->asString().find("unknown request type"),
               std::string::npos);
 
+    // An event list naming no kind is refused before anything runs.
+    const Value badEvents = ts.roundTrip(
+        R"({"type":"run","request":{"app":"STN","scale":0.05,)"
+        R"("functional":true,"trace_digest":true,"trace_events":","}})");
+    EXPECT_FALSE(badEvents.find("ok")->asBool());
+    EXPECT_NE(badEvents.find("error")->asString().find(
+                  "empty trace event list"),
+              std::string::npos);
+    EXPECT_EQ(ts.server->cache().misses(), 0u);
+
+    // A 2 MiB page spans 512 frames; STN at 75% gets 480.  Only the
+    // built trace tells, so the run itself fails (experiment_failed).
+    const Value tooLarge = ts.roundTrip(
+        R"({"type":"run","request":{"app":"STN","page_sizes":"4k,2m"}})");
+    EXPECT_FALSE(tooLarge.find("ok")->asBool());
+    EXPECT_NE(tooLarge.find("error")->asString().find(
+                  "page size 2m spans 512 frames but the pool holds only 480"),
+              std::string::npos);
+
     // The daemon survived all of it.
     EXPECT_TRUE(ts.roundTrip(R"({"type":"ping"})").find("ok")->asBool());
-    EXPECT_EQ(ts.server->cache().misses(), 0u);
 }
 
 TEST(Serve, StatsSurfaceCacheAndQueueCounters)

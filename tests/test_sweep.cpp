@@ -15,6 +15,7 @@
 
 #include "cli/args.hpp"
 #include "cli/commands.hpp"
+#include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
 #include "workload/apps.hpp"
 
@@ -116,20 +117,19 @@ TEST(SweepRunner, ParallelRunMatchesSerialExactly)
     RunConfig cfg;
     cfg.oversub = 0.75;
 
-    std::vector<SweepJob> jobs;
-    for (const Trace &trace : traces)
-        for (PolicyKind kind : kinds)
-            jobs.push_back(SweepJob{&trace, kind, cfg, /*functional=*/true});
+    const auto runCell = [&](std::size_t i) {
+        return runFunctional(traces[i / kinds.size()],
+                             kinds[i % kinds.size()], cfg);
+    };
 
     SweepRunner serial(1);
     SweepRunner parallel(8);
-    const auto a = serial.run(jobs);
-    const auto b = parallel.run(jobs);
+    const auto a = serial.map(traces.size() * kinds.size(), runCell);
+    const auto b = parallel.map(traces.size() * kinds.size(), runCell);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].paging.faults, b[i].paging.faults) << "job " << i;
-        ASSERT_EQ(a[i].paging.evictions, b[i].paging.evictions)
-            << "job " << i;
+        ASSERT_EQ(a[i].faults, b[i].faults) << "job " << i;
+        ASSERT_EQ(a[i].evictions, b[i].evictions) << "job " << i;
     }
 }
 

@@ -51,6 +51,15 @@ TEST(EventMaskParse, NamesAllAndFatalOnUnknown)
                      | trace::maskOf(EventKind::Eviction));
     EXPECT_EXIT(trace::parseEventMask("bogus"), testing::ExitedWithCode(1),
                 "unknown trace event");
+    // The non-exiting form reports the same grammar errors, including a
+    // list of separators only, which names no kind.
+    std::string error;
+    EXPECT_FALSE(trace::parseEventMask("eviction,bogus", error).has_value());
+    EXPECT_NE(error.find("unknown trace event 'bogus'"), std::string::npos);
+    EXPECT_FALSE(trace::parseEventMask(",", error).has_value());
+    EXPECT_EQ(error, "empty trace event list");
+    EXPECT_EQ(trace::parseEventMask("eviction,", error),
+              trace::maskOf(EventKind::Eviction));
 }
 
 TEST(TraceSink, FilterDropsUnwantedKindsEntirely)
@@ -320,39 +329,33 @@ TEST(SweepTracing, DigestsIdenticalAcrossJobCounts)
         traces.push_back(buildApp(app, 0.05, 1));
     RunConfig cfg;
     cfg.oversub = 0.5;
-    SweepTraceConfig tcfg;
-    tcfg.enabled = true;
 
-    std::vector<SweepJob> jobs;
-    for (const Trace &trace : traces)
-        for (PolicyKind kind : kinds)
-            jobs.push_back(
-                SweepJob{&trace, kind, cfg, /*functional=*/true, tcfg});
+    // One sink per cell: parallel cells never share trace state.
+    struct Digest
+    {
+        std::uint64_t digest;
+        std::uint64_t events;
+    };
+    const auto runCell = [&](std::size_t i) {
+        TraceSink sink;
+        runFunctionalInspect(traces[i / kinds.size()],
+                             kinds[i % kinds.size()], cfg, {.sink = &sink});
+        return Digest{sink.digest(), sink.emitted()};
+    };
 
     SweepRunner serial(1);
     SweepRunner parallel(4);
-    const auto a = serial.run(jobs);
-    const auto b = parallel.run(jobs);
+    const auto a = serial.map(traces.size() * kinds.size(), runCell);
+    const auto b = parallel.map(traces.size() * kinds.size(), runCell);
     ASSERT_EQ(a.size(), b.size());
     std::vector<std::uint64_t> da, db;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_GT(a[i].traceEvents, 0u) << "job " << i;
-        EXPECT_EQ(a[i].traceDigest, b[i].traceDigest) << "job " << i;
-        da.push_back(a[i].traceDigest);
-        db.push_back(b[i].traceDigest);
+        EXPECT_GT(a[i].events, 0u) << "job " << i;
+        EXPECT_EQ(a[i].digest, b[i].digest) << "job " << i;
+        da.push_back(a[i].digest);
+        db.push_back(b[i].digest);
     }
     EXPECT_EQ(trace::combineDigests(da), trace::combineDigests(db));
-}
-
-TEST(SweepTracing, DisabledTraceLeavesOutcomeZero)
-{
-    const Trace app = buildApp("HSD", 0.05, 1);
-    std::vector<SweepJob> jobs = {SweepJob{&app, PolicyKind::Lru, RunConfig{},
-                                           /*functional=*/true}};
-    SweepRunner runner(1);
-    const auto out = runner.run(jobs);
-    EXPECT_EQ(out[0].traceDigest, 0u);
-    EXPECT_EQ(out[0].traceEvents, 0u);
 }
 
 } // namespace

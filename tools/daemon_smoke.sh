@@ -3,7 +3,9 @@
 # the socket, and assert
 #   1. the served digest is byte-identical to ci/golden/HSD_HPE.digest
 #      (the same bytes `hpe_sim run` and the sweep produce),
-#   2. an identical re-submit is answered from the result cache,
+#   2. an identical re-submit is answered from the result cache, and bad
+#      input (a page class too large for GPU memory, an empty event list)
+#      gets ok:false while the daemon keeps serving,
 #   3. a `shutdown` request drains the daemon to a clean exit 0,
 #   4. a restarted daemon over the same --store-dir serves the cell as a
 #      warm cache hit with the same digest (durability),
@@ -71,6 +73,27 @@ echo "$second" | grep -q "\"trace_digest\":\"$digest\"" \
 stats="$("$HPE_SIM" submit --socket "$SOCK" --type stats)"
 echo "$stats" | grep -q '"cache_hits":1' || fail "expected one cache hit: $stats"
 echo "$stats" | grep -q '"cache_misses":1' || fail "expected one cache miss: $stats"
+
+# Bad input is answered, never fatal to the daemon: a 2 MiB page class
+# STN's GPU memory cannot hold fails the run (submit exits 1 on ok:false),
+# and an event list naming no kind is refused.  That line goes out raw,
+# because submit refuses it before sending.  The golden cell still serves
+# the same digest afterwards.
+toolarge="$("$HPE_SIM" submit --socket "$SOCK" --app STN --page-sizes 4k,2m || true)"
+echo "$toolarge" | grep -q '"ok":false' || fail "2m page class not refused: $toolarge"
+noevents="$(python3 - "$SOCK" <<'PY'
+import socket, sys
+s = socket.socket(socket.AF_UNIX)
+s.connect(sys.argv[1])
+s.sendall(b'{"type":"run","request":{"app":"STN","scale":0.05,"functional":true,'
+          b'"trace_digest":true,"trace_events":","}}\n')
+print(s.makefile().readline().strip())
+PY
+)"
+echo "$noevents" | grep -q '"ok":false' || fail "empty event list not refused: $noevents"
+again="$("$HPE_SIM" submit --socket "$SOCK" "${CELL[@]}")"
+echo "$again" | grep -q "\"trace_digest\":\"$digest\"" \
+    || fail "digest changed after bad input: $again"
 
 # 3. Graceful shutdown: the daemon drains and exits 0.
 "$HPE_SIM" submit --socket "$SOCK" --type shutdown >/dev/null
