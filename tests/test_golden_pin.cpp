@@ -78,8 +78,8 @@ expectPinned(const std::string &got, const std::string &expected,
 TEST(GoldenPin, DisabledPrefetchCellsAreByteIdentical)
 {
     for (const char *app : {"HSD", "BFS", "KMN"}) {
-        for (const char *policy :
-             {"LRU", "HPE", "Ideal", "RRIP", "CLOCK-Pro", "Random"}) {
+        for (const char *policy : {"LRU", "HPE", "Ideal", "RRIP", "CLOCK-Pro",
+                                   "Random", "CLOCK", "DIP", "LFU", "FIFO"}) {
             const std::string stem = std::string(app) + "_" + policy;
             const std::string expected = readFile(goldenPath(stem + ".digest"))
                 + readFile(goldenPath(stem + ".intervals.csv"));
@@ -116,8 +116,8 @@ TEST(GoldenPin, ExplicitBaselinePageSizesMatchEveryCell)
     // axis attaches nothing, so every pre-existing cell reproduces
     // byte-for-byte.
     for (const char *app : {"HSD", "BFS", "KMN"}) {
-        for (const char *policy :
-             {"LRU", "HPE", "Ideal", "RRIP", "CLOCK-Pro", "Random"}) {
+        for (const char *policy : {"LRU", "HPE", "Ideal", "RRIP", "CLOCK-Pro",
+                                   "Random", "CLOCK", "DIP", "LFU", "FIFO"}) {
             const std::string stem = std::string(app) + "_" + policy;
             const std::string expected = readFile(goldenPath(stem + ".digest"))
                 + readFile(goldenPath(stem + ".intervals.csv"));
