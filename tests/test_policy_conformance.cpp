@@ -1,8 +1,8 @@
 /**
  * @file
  * One conformance harness over every EvictionPolicy, and a differential
- * suite pinning the dense MinPolicy and RripPolicy to their previous
- * implementations (tests/reference_policies.hpp).
+ * suite pinning the dense MIN, RRIP, CLOCK, DIP, FIFO and LFU policies to
+ * their previous implementations (tests/reference_policies.hpp).
  *
  * Conformance, after stasis' check_replacementPolicy: random sequences of
  * fault, migrate-in, prefetch-in, hit and select-then-evict drive each
@@ -13,21 +13,32 @@
  * Differential: 500 random paging runs per policy feed the production
  * policy and its reference the same events and require the same victim
  * sequence.  Page ids include some at or above kDensePageLimit, so the
- * dense containers' overflow path is compared too.
+ * dense containers' overflow path is compared too.  The CLOCK, DIP, FIFO
+ * and LFU runs add stray events: evictions of resident pages the policy
+ * did not choose (a hosting MetaPolicy broadcasts the active candidate's
+ * victims), hits on pages that are not resident, and page ids shifted by
+ * 2^40 as the multi-app driver's address-space slices are.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/hpe_config.hpp"
 #include "mem/page_index.hpp"
+#include "policy/clock.hpp"
+#include "policy/dip.hpp"
+#include "policy/fifo.hpp"
+#include "policy/lfu.hpp"
 #include "policy/meta/meta_policy.hpp"
 #include "policy/min.hpp"
 #include "policy/rrip.hpp"
@@ -212,11 +223,14 @@ INSTANTIATE_TEST_SUITE_P(EveryPolicy, PolicyConformance,
 /**
  * Feed @p fresh and @p ref the same paging run over @p stream in
  * @p frames frames, with occasional prefetched neighbours and evictions
- * without a fault, and require the same victim every time.
+ * without a fault, and require the same victim every time.  With
+ * @p stray, now and then also evict a random resident page instead of the
+ * victim and hit a page that is not resident.
  */
 void
 expectSameVictims(EvictionPolicy &fresh, EvictionPolicy &ref,
-                  const std::vector<PageId> &stream, std::size_t frames, Rng &rng)
+                  const std::vector<PageId> &stream, std::size_t frames, Rng &rng,
+                  bool stray = false)
 {
     std::set<PageId> resident;
     fresh.reserveCapacity(frames);
@@ -256,6 +270,20 @@ expectSameVictims(EvictionPolicy &fresh, EvictionPolicy &ref,
         }
         if (rng.chance(0.02) && !resident.empty())
             evictOne();
+        if (stray && rng.chance(0.03) && !resident.empty()) {
+            const PageId other = *std::next(
+                resident.begin(), static_cast<std::ptrdiff_t>(rng.below(resident.size())));
+            fresh.onEvict(other);
+            ref.onEvict(other);
+            resident.erase(other);
+        }
+        if (stray && rng.chance(0.03)) {
+            const PageId absent = page + 1 + rng.below(8);
+            if (!resident.contains(absent)) {
+                fresh.onHit(absent);
+                ref.onHit(absent);
+            }
+        }
         if (::testing::Test::HasFatalFailure())
             return;
     }
@@ -333,6 +361,68 @@ TEST(PolicyDifferential, RripMatchesReferenceVictims)
             << "trial " << trial << " bits " << cfg.rrpvBits << " delay "
             << cfg.delayThreshold;
     }
+}
+
+using PolicyPair =
+    std::pair<std::unique_ptr<EvictionPolicy>, std::unique_ptr<EvictionPolicy>>;
+
+/**
+ * 500 stray-event differential runs of the (production, reference) pairs
+ * @p make returns; one trial in four shifts every page id by 2^40.
+ */
+template <typename Make>
+void
+expectSameVictimsOverTrials(std::uint64_t seed, Make &&make)
+{
+    for (unsigned trial = 0; trial < 500; ++trial) {
+        Rng rng(seed + trial);
+        const std::size_t frames = 1 + rng.below(trial % 4 == 0 ? 200 : 32);
+        const std::uint64_t span = frames + 1 + rng.below(3 * frames + 8);
+        std::vector<PageId> stream = randomStream(rng, 600 + rng.below(600), span);
+        if (trial % 4 == 1)
+            for (PageId &page : stream)
+                page += PageId{1} << 40;
+        const PolicyPair pair = make(rng);
+        expectSameVictims(*pair.first, *pair.second, stream, frames, rng, /*stray=*/true);
+        ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "trial " << trial;
+    }
+}
+
+TEST(PolicyDifferential, ClockMatchesReferenceVictims)
+{
+    expectSameVictimsOverTrials(0xC10C, [](Rng &) {
+        return PolicyPair{std::make_unique<ClockPolicy>(),
+                          std::make_unique<reference::ClockPolicy>()};
+    });
+}
+
+TEST(PolicyDifferential, DipMatchesReferenceVictims)
+{
+    expectSameVictimsOverTrials(0xD1B, [](Rng &rng) {
+        DipConfig cfg;
+        cfg.seed = rng.next();
+        cfg.leaderFraction = static_cast<std::uint32_t>(rng.between(3, 40));
+        cfg.bipEpsilonInverse = static_cast<std::uint32_t>(rng.between(1, 40));
+        cfg.pselMax = std::uint32_t{1} << rng.between(1, 10);
+        return PolicyPair{std::make_unique<DipPolicy>(cfg),
+                          std::make_unique<reference::DipPolicy>(cfg)};
+    });
+}
+
+TEST(PolicyDifferential, FifoMatchesReferenceVictims)
+{
+    expectSameVictimsOverTrials(0xF1F0, [](Rng &) {
+        return PolicyPair{std::make_unique<FifoPolicy>(),
+                          std::make_unique<reference::FifoPolicy>()};
+    });
+}
+
+TEST(PolicyDifferential, LfuMatchesReferenceVictims)
+{
+    expectSameVictimsOverTrials(0x1F0, [](Rng &) {
+        return PolicyPair{std::make_unique<LfuPolicy>(),
+                          std::make_unique<reference::LfuPolicy>()};
+    });
 }
 
 } // namespace
