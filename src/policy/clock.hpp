@@ -8,25 +8,28 @@
 
 #pragma once
 
-#include <memory>
-#include <unordered_map>
-
-#include "common/intrusive_list.hpp"
+#include "common/log.hpp"
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
 
-/** Second-chance circular list with one reference bit per page. */
+/**
+ * Second-chance queue with one reference bit per page.
+ *
+ * The clock face is a DensePageChain read from the hand: the hand always
+ * points at the chain's front, so advancing it moves the front page to the
+ * back, and a new page enters just behind the hand — at the back.
+ */
 class ClockPolicy : public EvictionPolicy
 {
   public:
     void
     onHit(PageId page) override
     {
-        auto it = nodes_.find(page);
-        if (it != nodes_.end())
-            it->second->ref = true;
+        if (ring_.contains(page))
+            ref_.insert(page);
     }
 
     void onFault(PageId) override {}
@@ -35,68 +38,39 @@ class ClockPolicy : public EvictionPolicy
     selectVictim() override
     {
         HPE_ASSERT(!ring_.empty(), "CLOCK victim request with no pages");
-        for (;;) {
-            if (hand_ == nullptr)
-                hand_ = &ring_.front();
-            Node &n = *hand_;
-            if (n.ref) {
-                // Second chance: clear and advance.
-                n.ref = false;
-                hand_ = ring_.next(n);
-                continue;
-            }
-            return n.page;
-        }
+        // Second chance: clear the bit and advance the hand.
+        while (ref_.erase(ring_.front()))
+            ring_.moveToBack(ring_.front());
+        return ring_.front();
     }
 
     void
     onEvict(PageId page) override
     {
-        auto it = nodes_.find(page);
-        HPE_ASSERT(it != nodes_.end(), "evicting untracked page {:#x}", page);
-        if (hand_ == it->second.get())
-            hand_ = ring_.next(*it->second);
-        ring_.remove(*it->second);
-        nodes_.erase(it);
+        const bool tracked = ring_.remove(page);
+        HPE_ASSERT(tracked, "evicting untracked page {:#x}", page);
+        ref_.erase(page);
     }
 
-    void
-    onMigrateIn(PageId page) override
-    {
-        auto node = std::make_unique<Node>();
-        node->page = page;
-        // Insert behind the hand (newest position on the clock face).
-        if (hand_ != nullptr)
-            ring_.insertBefore(*hand_, *node);
-        else
-            ring_.pushBack(*node);
-        nodes_.emplace(page, std::move(node));
-    }
+    void onMigrateIn(PageId page) override { ring_.pushBack(page); }
 
     std::string name() const override { return "CLOCK"; }
 
-    void reserveCapacity(std::size_t frames) override { nodes_.reserve(frames); }
+    void reserveCapacity(std::size_t frames) override { ring_.reserve(frames); }
 
     std::optional<std::vector<PageId>>
     trackedResidentPages() const override
     {
         std::vector<PageId> pages;
-        pages.reserve(nodes_.size());
-        for (const auto &[page, node] : nodes_)
-            pages.push_back(page);
+        pages.reserve(ring_.size());
+        ring_.forEach([&pages](PageId page) { pages.push_back(page); });
         return pages;
     }
 
   private:
-    struct Node : IntrusiveNode
-    {
-        PageId page = kInvalidId;
-        bool ref = false;
-    };
-
-    IntrusiveList<Node> ring_;
-    std::unordered_map<PageId, std::unique_ptr<Node>> nodes_;
-    Node *hand_ = nullptr;
+    DensePageChain ring_;
+    /** Reference bits of tracked pages. */
+    DensePageSet ref_;
 };
 
 } // namespace hpe

@@ -14,13 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 
-#include "common/intrusive_list.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
@@ -67,13 +65,7 @@ class DipPolicy : public EvictionPolicy
         cfg_.validate();
     }
 
-    void
-    onHit(PageId page) override
-    {
-        auto it = nodes_.find(page);
-        if (it != nodes_.end())
-            chain_.moveToBack(*it->second);
-    }
+    void onHit(PageId page) override { chain_.moveToBack(page); }
 
     void
     onFault(PageId page) override
@@ -98,23 +90,19 @@ class DipPolicy : public EvictionPolicy
     selectVictim() override
     {
         HPE_ASSERT(!chain_.empty(), "DIP victim request with no pages");
-        return chain_.front().page;
+        return chain_.front();
     }
 
     void
     onEvict(PageId page) override
     {
-        auto it = nodes_.find(page);
-        HPE_ASSERT(it != nodes_.end(), "evicting untracked page {:#x}", page);
-        chain_.remove(*it->second);
-        nodes_.erase(it);
+        const bool tracked = chain_.remove(page);
+        HPE_ASSERT(tracked, "evicting untracked page {:#x}", page);
     }
 
     void
     onMigrateIn(PageId page) override
     {
-        auto node = std::make_unique<Node>();
-        node->page = page;
         bool insert_mru = true;
         switch (groupOf(page)) {
           case Group::LruLeader:
@@ -132,23 +120,21 @@ class DipPolicy : public EvictionPolicy
             break;
         }
         if (insert_mru)
-            chain_.pushBack(*node);
+            chain_.pushBack(page);
         else
-            chain_.pushFront(*node);
-        nodes_.emplace(page, std::move(node));
+            chain_.pushFront(page);
     }
 
     std::string name() const override { return "DIP"; }
 
-    void reserveCapacity(std::size_t frames) override { nodes_.reserve(frames); }
+    void reserveCapacity(std::size_t frames) override { chain_.reserve(frames); }
 
     std::optional<std::vector<PageId>>
     trackedResidentPages() const override
     {
         std::vector<PageId> pages;
-        pages.reserve(nodes_.size());
-        for (const auto &[page, node] : nodes_)
-            pages.push_back(page);
+        pages.reserve(chain_.size());
+        chain_.forEach([&pages](PageId page) { pages.push_back(page); });
         return pages;
     }
 
@@ -157,11 +143,6 @@ class DipPolicy : public EvictionPolicy
 
   private:
     enum class Group { LruLeader, BipLeader, Follower };
-
-    struct Node : IntrusiveNode
-    {
-        PageId page = kInvalidId;
-    };
 
     Group
     groupOf(PageId page) const
@@ -179,8 +160,8 @@ class DipPolicy : public EvictionPolicy
     DipConfig cfg_;
     std::uint32_t psel_;
     Rng rng_;
-    IntrusiveList<Node> chain_;
-    std::unordered_map<PageId, std::unique_ptr<Node>> nodes_;
+    /** LRU chain: front is the victim, back the MRU position. */
+    DensePageChain chain_;
 };
 
 } // namespace hpe

@@ -8,12 +8,9 @@
 
 #pragma once
 
-#include <algorithm>
-#include <deque>
-#include <unordered_set>
-
 #include "common/log.hpp"
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
@@ -38,40 +35,28 @@ class FifoPolicy : public EvictionPolicy
         // Normally the driver evicts exactly selectVictim() == front, but
         // a hosting meta-policy broadcasts evictions chosen by whichever
         // candidate is active, so any resident page may be evicted.
-        HPE_ASSERT(resident_.erase(page) == 1,
-                   "FIFO eviction of non-resident page {:#x}", page);
-        if (!queue_.empty() && queue_.front() == page) {
-            queue_.pop_front();
-            return;
-        }
-        const auto it = std::find(queue_.begin(), queue_.end(), page);
-        HPE_ASSERT(it != queue_.end(),
-                   "FIFO queue lost track of page {:#x}", page);
-        queue_.erase(it);
+        const bool tracked = queue_.remove(page);
+        HPE_ASSERT(tracked, "FIFO eviction of non-resident page {:#x}", page);
     }
 
-    void
-    onMigrateIn(PageId page) override
-    {
-        const auto [it, inserted] = resident_.insert(page);
-        (void)it;
-        HPE_ASSERT(inserted, "double migrate-in of page {:#x}", page);
-        queue_.push_back(page);
-    }
+    void onMigrateIn(PageId page) override { queue_.pushBack(page); }
 
     std::string name() const override { return "FIFO"; }
 
-    void reserveCapacity(std::size_t frames) override { resident_.reserve(frames); }
+    void reserveCapacity(std::size_t frames) override { queue_.reserve(frames); }
 
     std::optional<std::vector<PageId>>
     trackedResidentPages() const override
     {
-        return std::vector<PageId>(resident_.begin(), resident_.end());
+        std::vector<PageId> pages;
+        pages.reserve(queue_.size());
+        queue_.forEach([&pages](PageId page) { pages.push_back(page); });
+        return pages;
     }
 
   private:
-    std::deque<PageId> queue_;
-    std::unordered_set<PageId> resident_;
+    /** Arrival order: front is the oldest page. */
+    DensePageChain queue_;
 };
 
 } // namespace hpe

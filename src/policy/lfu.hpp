@@ -9,11 +9,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/log.hpp"
 #include "common/types.hpp"
+#include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
 
 namespace hpe {
@@ -29,6 +29,10 @@ namespace hpe {
  * heap order — and therefore every victim — is exactly the ordered-map
  * minimum this replaced.  A rebuild pass compacts the heap whenever
  * stale entries outnumber live pages.
+ *
+ * Per-page state is two dense maps: the frequency, which survives
+ * eviction (a page ever seen has frequency >= 1), and the live sequence,
+ * which eviction erases (a page is resident exactly when it has one).
  */
 class LfuPolicy : public EvictionPolicy
 {
@@ -36,10 +40,14 @@ class LfuPolicy : public EvictionPolicy
     void
     onHit(PageId page) override
     {
-        auto it = pages_.find(page);
-        if (it == pages_.end())
-            return;
-        bump(it->second, page);
+        const std::uint64_t frequency = frequency_.lookup(page);
+        if (frequency == 0)
+            return; // never seen
+        frequency_.assign(page, frequency + 1);
+        if (sequence_.contains(page)) {
+            sequence_.assign(page, ++clock_);
+            push(page);
+        }
     }
 
     void onFault(PageId) override {}
@@ -47,13 +55,11 @@ class LfuPolicy : public EvictionPolicy
     PageId
     selectVictim() override
     {
-        HPE_ASSERT(resident_ > 0, "LFU victim request with no pages");
+        HPE_ASSERT(sequence_.size() > 0, "LFU victim request with no pages");
         while (true) {
             HPE_ASSERT(!heap_.empty(), "LFU heap lost a resident page");
             const Entry &top = heap_.front();
-            auto it = pages_.find(top.page);
-            if (it != pages_.end() && it->second.resident
-                && it->second.sequence == top.sequence)
+            if (sequence_.lookup(top.page) == top.sequence)
                 return top.page;
             std::pop_heap(heap_.begin(), heap_.end(), Greater{});
             heap_.pop_back();
@@ -63,24 +69,20 @@ class LfuPolicy : public EvictionPolicy
     void
     onEvict(PageId page) override
     {
-        auto it = pages_.find(page);
-        HPE_ASSERT(it != pages_.end(), "evicting untracked page {:#x}", page);
         // Frequency survives eviction so a returning page keeps history;
         // the heap entry goes stale and is popped or compacted lazily.
-        it->second.resident = false;
-        --resident_;
+        const bool tracked = sequence_.erase(page) != 0;
+        HPE_ASSERT(tracked, "evicting untracked page {:#x}", page);
     }
 
     void
     onMigrateIn(PageId page) override
     {
-        State &st = pages_[page];
-        HPE_ASSERT(!st.resident, "double migrate-in of page {:#x}", page);
-        st.resident = true;
-        ++st.frequency;
-        st.sequence = ++clock_;
-        ++resident_;
-        push(st, page);
+        HPE_ASSERT(!sequence_.contains(page), "double migrate-in of page {:#x}",
+                   page);
+        frequency_.assign(page, frequency_.lookup(page) + 1);
+        sequence_.insert(page, ++clock_);
+        push(page);
     }
 
     std::string name() const override { return "LFU"; }
@@ -88,7 +90,6 @@ class LfuPolicy : public EvictionPolicy
     void
     reserveCapacity(std::size_t frames) override
     {
-        pages_.reserve(frames);
         heap_.reserve(2 * frames + 64);
     }
 
@@ -96,10 +97,9 @@ class LfuPolicy : public EvictionPolicy
     trackedResidentPages() const override
     {
         std::vector<PageId> pages;
-        pages.reserve(resident_);
-        for (const auto &[page, st] : pages_)
-            if (st.resident)
-                pages.push_back(page);
+        pages.reserve(sequence_.size());
+        sequence_.forEach(
+            [&pages](PageId page, std::uint64_t) { pages.push_back(page); });
         return pages;
     }
 
@@ -107,18 +107,10 @@ class LfuPolicy : public EvictionPolicy
     std::uint64_t
     frequencyOf(PageId page) const
     {
-        auto it = pages_.find(page);
-        return it == pages_.end() ? 0 : it->second.frequency;
+        return frequency_.lookup(page);
     }
 
   private:
-    struct State
-    {
-        std::uint64_t frequency = 0;
-        std::uint64_t sequence = 0;
-        bool resident = false;
-    };
-
     struct Entry
     {
         std::uint64_t frequency;
@@ -138,21 +130,14 @@ class LfuPolicy : public EvictionPolicy
         }
     };
 
+    /** Push resident @p page's current (frequency, sequence). */
     void
-    bump(State &st, PageId page)
+    push(PageId page)
     {
-        ++st.frequency;
-        st.sequence = ++clock_;
-        if (st.resident)
-            push(st, page);
-    }
-
-    void
-    push(const State &st, PageId page)
-    {
-        if (heap_.size() >= 2 * resident_ + 64)
+        if (heap_.size() >= 2 * sequence_.size() + 64)
             rebuild();
-        heap_.push_back(Entry{st.frequency, st.sequence, page});
+        heap_.push_back(
+            Entry{frequency_.lookup(page), sequence_.lookup(page), page});
         std::push_heap(heap_.begin(), heap_.end(), Greater{});
     }
 
@@ -161,15 +146,17 @@ class LfuPolicy : public EvictionPolicy
     rebuild()
     {
         heap_.clear();
-        for (const auto &[page, st] : pages_)
-            if (st.resident)
-                heap_.push_back(Entry{st.frequency, st.sequence, page});
+        sequence_.forEach([this](PageId page, std::uint64_t sequence) {
+            heap_.push_back(Entry{frequency_.lookup(page), sequence, page});
+        });
         std::make_heap(heap_.begin(), heap_.end(), Greater{});
     }
 
-    std::unordered_map<PageId, State> pages_;
+    /** References per page; kept after eviction. */
+    DensePageMap<std::uint64_t, 0> frequency_;
+    /** Sequence of each resident page's live heap entry. */
+    DensePageMap<std::uint64_t, 0> sequence_;
     std::vector<Entry> heap_;
-    std::size_t resident_ = 0;
     std::uint64_t clock_ = 0;
 };
 
