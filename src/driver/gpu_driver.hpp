@@ -160,14 +160,13 @@ class GpuDriver
     bool
     requestPage(PageId page, Wakeup wakeup, std::uint32_t stream = 0)
     {
-        auto it = waiters_.find(page);
-        if (it != waiters_.end()) {
+        auto [it, inserted] = inFlight_.try_emplace(page);
+        it->second.waiters.push_back(std::move(wakeup));
+        if (!inserted) {
             ++merged_;
-            it->second.push_back(std::move(wakeup));
             return false;
         }
-        waiters_[page].push_back(std::move(wakeup));
-        streamOf_[page] = stream;
+        it->second.stream = stream;
         batcher_.push(page, /*write=*/false, eq_.now());
         queueDepth_.sample(static_cast<double>(batcher_.size()));
         maybeLaunch();
@@ -178,7 +177,7 @@ class GpuDriver
     Cycle busyCycles() const { return busyCycles_; }
 
     /** Faults currently queued or in service. */
-    std::size_t pending() const { return waiters_.size(); }
+    std::size_t pending() const { return inFlight_.size(); }
 
   private:
     /** Apply the batching discipline: launch now or arm the flush timer. */
@@ -236,7 +235,7 @@ class GpuDriver
         const bool xfer_failed = !timed_out && injector_->pcieTransferFails();
         if (!timed_out && !xfer_failed)
             return true;
-        const unsigned attempt = ++attempts_[page];
+        const unsigned attempt = ++inFlight_.at(page).attempts;
         if (attempt > cfg_.retry.maxAttempts) {
             // Attempt budget exhausted: escalate to the reliable slow
             // path and service the fault regardless — delayed, not lost.
@@ -257,18 +256,10 @@ class GpuDriver
     void
     complete(PageId page)
     {
-        if (injector_ != nullptr) {
-            if (!admitService(page))
-                return;
-            attempts_.erase(page);
-        }
+        if (injector_ != nullptr && !admitService(page))
+            return;
         if (sink_ != nullptr)
             sink_->advanceTo(eq_.now());
-        std::uint32_t stream = 0;
-        if (auto sit = streamOf_.find(page); sit != streamOf_.end()) {
-            stream = sit->second;
-            streamOf_.erase(sit);
-        }
         const FaultOutcome outcome = uvm_.handleFault(page);
         ++serviced_;
 
@@ -278,26 +269,16 @@ class GpuDriver
         if (outcome.evicted && outcome.victimDirty)
             done = pcie_.transfer(done, kPageBytes);
 
-        // Speculative migration into free frames (never evicts).  Pages
-        // with a fault already queued are left to their own service; they
-        // count as late — the speculation was right but lost the race.
+        // Speculative migration into free frames (never evicts); each
+        // prefetched page crosses the link.  Pages with a fault in flight
+        // are left to their own service.
         if (prefetcher_ != nullptr) {
-            candidates_.clear();
-            prefetcher_->candidates(
-                page, stream, [this](PageId p) { return uvm_.resident(p); },
-                candidates_);
-            for (const PageId q : candidates_) {
-                if (!uvm_.hasFreeFrame())
-                    break;
-                if (waiters_.contains(q)) {
-                    uvm_.notePrefetchLate();
-                    continue;
-                }
-                if (uvm_.prefetchIn(q) == PrefetchOutcome::Prefetched) {
+            prefetched_ += uvm_.prefetchAfterFault(
+                *prefetcher_, page, inFlight_.at(page).stream,
+                [this](PageId q) { return inFlight_.contains(q); },
+                [this, &done](PageId) {
                     done = pcie_.transfer(done, kPageBytes);
-                    ++prefetched_;
-                }
-            }
+                });
         }
         // HIR batches ride the PCIe link with the evicted page; their
         // transfer latency extends this fault's completion (§V-B).
@@ -307,9 +288,9 @@ class GpuDriver
                 done = pcie_.transfer(done, hir_bytes);
         }
 
-        auto node = waiters_.extract(page);
+        auto node = inFlight_.extract(page);
         HPE_ASSERT(!node.empty(), "fault completion with no waiters");
-        eq_.schedule(done, [waiters = std::move(node.mapped())] {
+        eq_.schedule(done, [waiters = std::move(node.mapped().waiters)] {
             for (const Wakeup &w : waiters)
                 w();
         });
@@ -323,11 +304,25 @@ class GpuDriver
     StatRegistry &stats_;
     std::string name_;
 
+    /** A page with a fault queued or in service. */
+    struct InFlight
+    {
+        /** Warps to wake once the page is resident. */
+        std::vector<Wakeup> waiters;
+        /** Access stream of the fault that initiated the service. */
+        std::uint32_t stream = 0;
+        /** Failed service attempts so far (chaos retry path). */
+        unsigned attempts = 0;
+    };
+
     prefetch::FaultBatcher batcher_;
     std::unique_ptr<prefetch::Prefetcher> prefetcher_;
-    std::vector<PageId> candidates_;
-    std::unordered_map<PageId, std::uint32_t> streamOf_;
-    std::unordered_map<PageId, std::vector<Wakeup>> waiters_;
+    /**
+     * Every page with a fault in flight.  A hash map, not a dense page
+     * container: its entries own wakeup lists, and it holds only the
+     * pages currently faulting.
+     */
+    std::unordered_map<PageId, InFlight> inFlight_;
     Cycle nextStart_ = 0;
     Cycle busyCycles_ = 0;
     bool flushTimerArmed_ = false;
@@ -336,7 +331,6 @@ class GpuDriver
 
     /** @{ chaos retry path (active only when an injector attaches) */
     FaultInjector *injector_ = nullptr;
-    std::unordered_map<PageId, unsigned> attempts_;
     Counter *serviceReplays_ = nullptr;
     Counter *migrationRetries_ = nullptr;
     Counter *retriesExhausted_ = nullptr;

@@ -33,8 +33,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -46,6 +44,7 @@
 #include "mem/page_table.hpp"
 #include "mem/radix_page_table.hpp"
 #include "policy/eviction_policy.hpp"
+#include "prefetch/prefetcher.hpp"
 #include "trace/trace_sink.hpp"
 
 namespace hpe {
@@ -113,7 +112,7 @@ class UvmMemoryManager
         ++hits_;
         noteSpeculativeUse(page);
         if (detector_ != nullptr)
-            lastTouch_[page] = ++touchClock_;
+            lastTouch_.assign(page, ++touchClock_);
         policy_.onHit(logicalPageOf(page));
     }
 
@@ -182,7 +181,7 @@ class UvmMemoryManager
                 // evicted — the single-victim protocol is preserved.
                 coalescer_->beforeEvict(victim);
             }
-            if (detector_ != nullptr && pinned_.erase(victim) > 0) {
+            if (detector_ != nullptr && pinned_.erase(victim)) {
                 // The policy insisted on a pinned page: the pin is soft —
                 // it breaks rather than deadlock a full frame pool.
                 ++*pinnedVictimOverrides_;
@@ -221,7 +220,7 @@ class UvmMemoryManager
             coalescer_->onMap(page);
 
         if (detector_ != nullptr) {
-            lastTouch_[page] = ++touchClock_;
+            lastTouch_.assign(page, ++touchClock_);
             switch (detector_->onFault(is_refault)) {
               case DegradationEvent::Entered:
                 if (sink_ != nullptr)
@@ -270,11 +269,47 @@ class UvmMemoryManager
             coalescer_->onMap(page);
         speculative_.insert(page);
         if (detector_ != nullptr)
-            lastTouch_[page] = ++touchClock_;
+            lastTouch_.assign(page, ++touchClock_);
         ++prefetches_;
         if (validateHook_)
             validateHook_();
         return PrefetchOutcome::Prefetched;
+    }
+
+    /**
+     * Give @p prefetcher its shot after the demand fault on @p page from
+     * @p stream: its candidates migrate in through prefetchIn() while a
+     * frame is free.  A candidate for which @p pending returns true
+     * already has a demand fault queued and is left to that service; it
+     * counts as late — the speculation was right but lost the race.
+     * @p landed runs after each page lands, in order (the timing driver
+     * charges the page's PCIe transfer there).
+     * @return the number of pages prefetched.
+     */
+    template <typename PendingFn, typename LandedFn>
+    std::size_t
+    prefetchAfterFault(prefetch::Prefetcher &prefetcher, PageId page,
+                       std::uint32_t stream, PendingFn &&pending,
+                       LandedFn &&landed)
+    {
+        prefetchCandidates_.clear();
+        prefetcher.candidates(
+            page, stream, [this](PageId p) { return resident(p); },
+            prefetchCandidates_);
+        std::size_t prefetched = 0;
+        for (const PageId q : prefetchCandidates_) {
+            if (frames_.full())
+                break;
+            if (pending(q)) {
+                notePrefetchLate();
+                continue;
+            }
+            if (prefetchIn(q) == PrefetchOutcome::Prefetched) {
+                landed(q);
+                ++prefetched;
+            }
+        }
+        return prefetched;
     }
 
     /** A prefetch candidate already had a demand fault pending: the
@@ -288,9 +323,6 @@ class UvmMemoryManager
     std::uint64_t prefetchWasted() const { return prefetchWasted_.value(); }
     /** Prefetch candidates that already had a pending demand fault. */
     std::uint64_t prefetchLate() const { return prefetchLate_.value(); }
-
-    /** True while a free frame remains (prefetching is allowed). */
-    bool hasFreeFrame() const { return !frames_.full(); }
 
     /**
      * Mirror every mapping change into @p radix (the multi-level walker's
@@ -410,11 +442,14 @@ class UvmMemoryManager
             * detector_->config().pinFraction);
         if (want == 0)
             return;
+        // Touch stamps are unique, so the order lastTouch_ visits pages in
+        // cannot change which pages are pinned or their refresh order.
         std::vector<std::pair<std::uint64_t, PageId>> hot;
         hot.reserve(lastTouch_.size());
-        for (const auto &[page, touch] : lastTouch_)
+        lastTouch_.forEach([&](PageId page, std::uint64_t touch) {
             if (table_.resident(page))
                 hot.emplace_back(touch, page);
+        });
         const std::size_t count = std::min(want, hot.size());
         if (count == 0)
             return;
@@ -443,11 +478,14 @@ class UvmMemoryManager
     DensePageSet dirty_;
     /** Prefetched pages that have not yet been demand-referenced. */
     DensePageSet speculative_;
+    /** Scratch list for prefetchAfterFault(). */
+    std::vector<PageId> prefetchCandidates_;
 
     /** @{ graceful degradation (allocated by enableDegradation only) */
     std::unique_ptr<ThrashingDetector> detector_;
-    std::unordered_set<PageId> pinned_;
-    std::unordered_map<PageId, std::uint64_t> lastTouch_;
+    DensePageSet pinned_;
+    /** Last-touch stamp of each resident page. */
+    DensePageMap<std::uint64_t, 0> lastTouch_;
     std::uint64_t touchClock_ = 0;
     Counter *pinnedPages_ = nullptr;
     Counter *pinnedVictimOverrides_ = nullptr;

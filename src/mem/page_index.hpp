@@ -14,6 +14,11 @@
  * The dense window grows lazily to the highest page actually touched
  * (rounded up to a power of two), so memory tracks the workload
  * footprint, not the configured limit.
+ *
+ * Page-keyed state everywhere in the simulator is built from these
+ * containers.  The two hash tables kept on purpose — HPE's fallback
+ * order and GpuDriver's in-flight faults — say why where they are
+ * declared.
  */
 
 #pragma once
@@ -262,10 +267,8 @@ class DensePageSet
 /**
  * Per-region residency counter for the huge-page coalescer: counts how
  * many 4 KiB pages are resident in each naturally-aligned 2^order-page
- * region.  Regions below kDensePageLimit use a direct-indexed array (one
- * counter per region — at order >= 4 this is a small fraction of the page
- * table itself); higher regions fall back to a hash map, mirroring the
- * DensePageMap convention, so correctness never depends on the window.
+ * region.  The counts live in a DensePageMap keyed by region id; a region
+ * with no resident page is absent.
  */
 class DenseRegionCounter
 {
@@ -283,13 +286,7 @@ class DenseRegionCounter
     std::uint32_t
     count(PageId page) const
     {
-        const PageId region = page >> order_;
-        if (region < dense_.size())
-            return dense_[region];
-        if (region < (kDensePageLimit >> order_))
-            return 0;
-        auto it = overflow_.find(region);
-        return it == overflow_.end() ? 0 : it->second;
+        return counts_.lookup(page >> order_);
     }
 
     /** A page in @p page's region became resident. @return the new count. */
@@ -297,15 +294,11 @@ class DenseRegionCounter
     increment(PageId page)
     {
         const PageId region = page >> order_;
-        if (region < (kDensePageLimit >> order_)) {
-            if (region >= dense_.size())
-                grow(region);
-            const std::uint32_t now = ++dense_[region];
-            HPE_ASSERT(now <= (std::uint32_t{1} << order_),
-                       "region {:#x} overfull", region);
-            return now;
-        }
-        return ++overflow_[region];
+        const std::uint32_t now = counts_.lookup(region) + 1;
+        HPE_ASSERT(now <= (std::uint32_t{1} << order_),
+                   "region {:#x} overfull", region);
+        counts_.assign(region, now);
+        return now;
     }
 
     /** A page in @p page's region was evicted. @return the new count. */
@@ -313,45 +306,31 @@ class DenseRegionCounter
     decrement(PageId page)
     {
         const PageId region = page >> order_;
-        if (region < (kDensePageLimit >> order_)) {
-            HPE_ASSERT(region < dense_.size() && dense_[region] > 0,
-                       "region {:#x} count underflow", region);
-            return --dense_[region];
-        }
-        auto it = overflow_.find(region);
-        HPE_ASSERT(it != overflow_.end() && it->second > 0,
-                   "region {:#x} count underflow", region);
-        const std::uint32_t now = --it->second;
-        if (now == 0)
-            overflow_.erase(it);
-        return now;
+        const std::uint32_t was = counts_.lookup(region);
+        HPE_ASSERT(was > 0, "region {:#x} count underflow", region);
+        if (was == 1)
+            counts_.erase(region);
+        else
+            counts_.assign(region, was - 1);
+        return was - 1;
     }
 
   private:
-    void
-    grow(PageId region)
-    {
-        std::size_t capacity = dense_.empty() ? 256 : dense_.size();
-        while (capacity <= region)
-            capacity *= 2;
-        dense_.resize(capacity, 0);
-    }
-
     unsigned order_;
-    std::vector<std::uint32_t> dense_;
-    std::unordered_map<PageId, std::uint32_t> overflow_;
+    DensePageMap<std::uint32_t, 0> counts_;
 };
 
 /**
- * Doubly-linked recency chain over pages in struct-of-arrays layout.
+ * Doubly-linked chain over pages in struct-of-arrays layout: the order of
+ * LRU, DIP and FIFO and CLOCK's clock face.
  *
- * Replaces the node-per-page `IntrusiveList` + `unordered_map<PageId,
- * unique_ptr<Node>>` idiom in recency policies: links live in parallel
- * `uint32_t` arrays indexed by slot, the page->slot lookup rides
- * DensePageMap's direct-indexed fast path, and freed slots recycle
- * through a free list — so the per-reference chain update touches two
- * small arrays instead of chasing heap nodes, and tracking a page costs
- * no allocation after warm-up.
+ * Replaces a node-per-page `IntrusiveList` whose nodes are found through
+ * a hash map keyed by page: links live in parallel `uint32_t` arrays
+ * indexed by slot, the page->slot lookup rides DensePageMap's
+ * direct-indexed fast path, and freed slots recycle through a free list —
+ * so the per-reference chain update touches two small arrays instead of
+ * chasing heap nodes, and tracking a page costs no allocation after
+ * warm-up.
  *
  * Chain order is front (head) to back (tail); recency policies keep the
  * eviction candidate at the front.

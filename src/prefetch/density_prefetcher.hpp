@@ -16,9 +16,9 @@
 #pragma once
 
 #include <bit>
-#include <unordered_map>
 
 #include "common/log.hpp"
+#include "mem/page_index.hpp"
 #include "prefetch/prefetcher.hpp"
 
 namespace hpe::prefetch {
@@ -43,8 +43,9 @@ class DensityPrefetcher final : public Prefetcher
         const PageId basin = page / cfg_.basinPages;
         const std::uint32_t offset =
             static_cast<std::uint32_t>(page % cfg_.basinPages);
-        std::uint64_t &faulted = basins_[basin];
-        faulted |= std::uint64_t{1} << offset;
+        const std::uint64_t faulted =
+            basins_.lookup(basin) | (std::uint64_t{1} << offset);
+        basins_.assign(basin, faulted);
 
         const auto occupancy = static_cast<unsigned>(std::popcount(faulted));
         if (static_cast<double>(occupancy)
@@ -67,8 +68,11 @@ class DensityPrefetcher final : public Prefetcher
 
   private:
     const PrefetchConfig cfg_;
-    /** Demand-faulted pages per basin (bit per page offset). */
-    std::unordered_map<PageId, std::uint64_t> basins_;
+    /**
+     * Demand-faulted pages per basin (bit per page offset), keyed by basin
+     * id.  A basin in the map has at least one bit set, so 0 means absent.
+     */
+    DensePageMap<std::uint64_t, 0> basins_;
 };
 
 } // namespace hpe::prefetch

@@ -7,11 +7,11 @@
  * pages alongside each demand page.  This subsystem models the speculation
  * half: a Prefetcher proposes candidate pages after every serviced demand
  * fault, and the caller (the timing GpuDriver or the functional paging
- * simulator) migrates them through UvmMemoryManager::prefetchIn under the
- * standing contract — prefetching only fills *free* frames, never evicts,
- * and prefetched pages enter the policy's cold/HIR tier (onPrefetchIn)
- * rather than its protected tier, so speculation cannot pollute the
- * working set.
+ * simulator) migrates them through UvmMemoryManager::prefetchAfterFault
+ * under the standing contract — prefetching only fills *free* frames,
+ * never evicts, and prefetched pages enter the policy's cold/HIR tier
+ * (onPrefetchIn) rather than its protected tier, so speculation cannot
+ * pollute the working set.
  *
  * Four implementations, selected PolicyFactory-style by the PrefetchKind
  * in DriverConfig::prefetch (the one place every mode reads it from):

@@ -21,7 +21,7 @@
  *
  * A configured prefetcher runs after each serviced fault and fills only
  * free frames; prefetched pages enter the policy's coldest tier via
- * onPrefetchIn (see UvmMemoryManager::prefetchIn).
+ * onPrefetchIn (see UvmMemoryManager::prefetchAfterFault).
  */
 
 #pragma once
@@ -130,7 +130,6 @@ runPaging(const Trace &trace, EvictionPolicy &policy, std::size_t frames,
     prefetch::FaultBatcher batcher(std::max(1u, opts.faultBatch));
     const std::unique_ptr<prefetch::Prefetcher> prefetcher =
         prefetch::makePrefetcher(opts.prefetch);
-    std::vector<PageId> candidates;
 
     // Service one batched fault at its arrival reference index, then give
     // the prefetcher a shot at the free frames.  A pending page that a
@@ -142,21 +141,11 @@ runPaging(const Trace &trace, EvictionPolicy &policy, std::size_t frames,
             uvm.recordHit(pf.page);
         } else {
             uvm.handleFault(pf.page);
-            if (prefetcher != nullptr) {
-                candidates.clear();
-                prefetcher->candidates(
-                    pf.page, 0, [&uvm](PageId p) { return uvm.resident(p); },
-                    candidates);
-                for (const PageId q : candidates) {
-                    if (!uvm.hasFreeFrame())
-                        break;
-                    if (batcher.contains(q)) {
-                        uvm.notePrefetchLate();
-                        continue;
-                    }
-                    uvm.prefetchIn(q);
-                }
-            }
+            if (prefetcher != nullptr)
+                uvm.prefetchAfterFault(
+                    *prefetcher, pf.page, 0,
+                    [&batcher](PageId q) { return batcher.contains(q); },
+                    [](PageId) {});
         }
         if (pf.write)
             uvm.markDirty(pf.page);
