@@ -12,9 +12,6 @@
 
 namespace hpe::api {
 
-namespace {
-
-/** Is @p s entirely decimal digits (the legacy --prefetch N spelling)? */
 bool
 allDigits(const std::string &s)
 {
@@ -22,6 +19,8 @@ allDigits(const std::string &s)
         return false;
     return s.find_first_not_of("0123456789") == std::string::npos;
 }
+
+namespace {
 
 /** Typed member readers for fromJson(); set @p error and return false on
  *  a type mismatch, leave @p out untouched when the key is absent. */

@@ -166,6 +166,9 @@ struct ExperimentResult
                                                     std::string &error);
 };
 
+/** Is @p s entirely decimal digits (the legacy --prefetch N spelling)? */
+bool allDigits(const std::string &s);
+
 /** The RunConfig a normalized request denotes (the one config funnel). */
 RunConfig buildRunConfig(const ExperimentRequest &req);
 

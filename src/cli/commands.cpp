@@ -12,12 +12,14 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "api/api.hpp"
 #include "api/protocol.hpp"
 #include "api/registry.hpp"
+#include "common/comma_list.hpp"
 #include "common/table.hpp"
 #include "serve/client.hpp"
 #include "serve/endpoint.hpp"
@@ -31,14 +33,6 @@
 namespace hpe::cli {
 
 namespace {
-
-/** Is @p s entirely decimal digits (the legacy --prefetch N spelling)? */
-bool
-allDigits(const std::string &s)
-{
-    return !s.empty()
-           && s.find_first_not_of("0123456789") == std::string::npos;
-}
 
 /**
  * Build the ExperimentRequest a command line denotes — the one funnel
@@ -70,7 +64,7 @@ requestFromArgs(const Args &args)
         req.prefetch = args.get("prefetch", "none");
         // Deprecated numeric spelling: still honoured (normalize() folds
         // it onto the canonical form), but steer users to the named one.
-        if (allDigits(req.prefetch))
+        if (api::allDigits(req.prefetch))
             warn("--prefetch {} is deprecated; use --prefetch sequential "
                  "--prefetch-degree {}",
                  req.prefetch, req.prefetch);
@@ -491,20 +485,9 @@ serveCommand(const Args &args, std::ostream &os)
     cfg.socketPath = args.get("socket");
     // --listen accepts a comma-separated endpoint list (the option map
     // keeps one value per key), each in the endpoint grammar.
-    if (const std::string listen = args.get("listen"); !listen.empty()) {
-        std::size_t start = 0;
-        while (start <= listen.size()) {
-            const std::size_t comma = listen.find(',', start);
-            const std::string item = listen.substr(
-                start, comma == std::string::npos ? std::string::npos
-                                                  : comma - start);
-            if (!item.empty())
-                cfg.listen.push_back(item);
-            if (comma == std::string::npos)
-                break;
-            start = comma + 1;
-        }
-    }
+    const std::string listen = args.get("listen");
+    for (const std::string_view item : splitCommaList(listen))
+        cfg.listen.emplace_back(item);
     if (cfg.socketPath.empty() && cfg.listen.empty())
         fatal("serve requires --socket ENDPOINT or --listen ENDPOINTS");
     cfg.shards = static_cast<unsigned>(args.getUint("shards", 1));

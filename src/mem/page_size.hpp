@@ -25,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/comma_list.hpp"
 #include "common/log.hpp"
 #include "common/types.hpp"
 
@@ -143,30 +144,20 @@ inline std::optional<PageSizeConfig>
 parsePageSizes(std::string_view list, std::string &error)
 {
     PageSizeConfig cfg;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string_view token = list.substr(
-            pos, comma == std::string_view::npos ? std::string_view::npos
-                                                 : comma - pos);
-        if (!token.empty()) {
-            const auto order = parsePageSizeToken(token);
-            if (!order.has_value()) {
-                error = "bad page size '" + std::string(token)
-                        + "' (expected a power-of-two like 4k, 64k, 2m)";
-                return std::nullopt;
-            }
-            if (*order > 0) {
-                bool dup = false;
-                for (unsigned o : cfg.largeOrders)
-                    dup = dup || o == *order;
-                if (!dup)
-                    cfg.largeOrders.push_back(*order);
-            }
+    for (const std::string_view token : splitCommaList(list)) {
+        const auto order = parsePageSizeToken(token);
+        if (!order.has_value()) {
+            error = "bad page size '" + std::string(token)
+                    + "' (expected a power-of-two like 4k, 64k, 2m)";
+            return std::nullopt;
         }
-        if (comma == std::string_view::npos)
-            break;
-        pos = comma + 1;
+        if (*order > 0) {
+            bool dup = false;
+            for (unsigned o : cfg.largeOrders)
+                dup = dup || o == *order;
+            if (!dup)
+                cfg.largeOrders.push_back(*order);
+        }
     }
     std::sort(cfg.largeOrders.begin(), cfg.largeOrders.end());
     return cfg;

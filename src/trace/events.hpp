@@ -21,6 +21,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/comma_list.hpp"
 #include "common/log.hpp"
 
 namespace hpe::trace {
@@ -193,32 +194,21 @@ parseEventMask(std::string_view list, std::string &error)
     if (list.empty() || list == "all")
         return kAllEvents;
     EventMask mask = 0;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string_view name = list.substr(
-            pos, comma == std::string_view::npos ? std::string_view::npos
-                                                 : comma - pos);
-        if (!name.empty()) {
-            const auto kind = eventKindByName(name);
-            if (!kind.has_value()) {
-                std::string known;
-                for (unsigned k = 0;
-                     k < static_cast<unsigned>(EventKind::kCount); ++k) {
-                    if (!known.empty())
-                        known += ",";
-                    known += eventKindName(static_cast<EventKind>(k));
-                }
-                error = strformat(
-                    "unknown trace event '{}' (expected one of {})",
-                    std::string(name), known);
-                return std::nullopt;
+    for (const std::string_view name : splitCommaList(list)) {
+        const auto kind = eventKindByName(name);
+        if (!kind.has_value()) {
+            std::string known;
+            for (unsigned k = 0; k < static_cast<unsigned>(EventKind::kCount);
+                 ++k) {
+                if (!known.empty())
+                    known += ",";
+                known += eventKindName(static_cast<EventKind>(k));
             }
-            mask |= maskOf(*kind);
+            error = strformat("unknown trace event '{}' (expected one of {})",
+                              std::string(name), known);
+            return std::nullopt;
         }
-        if (comma == std::string_view::npos)
-            break;
-        pos = comma + 1;
+        mask |= maskOf(*kind);
     }
     if (mask == 0) {
         error = "empty trace event list";

@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the common module: intrusive list, RNG, saturating
- * counter, event queue, formatting, stats, and the table printer.
+ * counter, event queue, formatting, the comma-list splitter, stats, and
+ * the table printer.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string_view>
 #include <vector>
 
+#include "common/comma_list.hpp"
 #include "common/event_queue.hpp"
 #include "common/format.hpp"
 #include "common/intrusive_list.hpp"
@@ -324,6 +327,16 @@ TEST(Format, EscapedBraces)
 TEST(Format, SurplusPlaceholders)
 {
     EXPECT_EQ(strformat("{} {}", 1), "1 {}");
+}
+
+TEST(CommaList, SkipsEmptyItems)
+{
+    using Items = std::vector<std::string_view>;
+    EXPECT_EQ(splitCommaList(""), Items{});
+    EXPECT_EQ(splitCommaList(","), Items{});
+    EXPECT_EQ(splitCommaList("4k"), Items{"4k"});
+    EXPECT_EQ(splitCommaList(",a,,bc,"), (Items{"a", "bc"}));
+    EXPECT_EQ(splitCommaList("unix:/s,tcp:h:1"), (Items{"unix:/s", "tcp:h:1"}));
 }
 
 TEST(Stats, CounterAccumulates)
