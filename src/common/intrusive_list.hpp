@@ -2,10 +2,14 @@
  * @file
  * Intrusive doubly-linked list.
  *
- * The page-set chain and the page-level LRU/CLOCK chains are recency lists
- * whose entries must move to the MRU position in O(1) and be addressed from
- * a hash map without iterator invalidation.  Nodes embed their own links; the
- * list never allocates.
+ * For lists whose entries are objects with a stable address rather than
+ * pages: HPE's page-set chain, whose entries are page sets spliced
+ * between the old, middle and new partitions, and CLOCK-Pro's three-hand
+ * clock, whose hands point at nodes.  Both draw their nodes from an
+ * IntrusivePool.  The pre-rewrite policies kept as test references
+ * (tests/reference_policies.hpp) use it too.  Per-page orderings use
+ * DensePageChain (mem/page_index.hpp) instead.  Nodes embed their own
+ * links; the list never allocates.
  */
 
 #pragma once

@@ -13,7 +13,7 @@
  *
  * The digest covers *every* accepted event, including ones the ring has
  * since dropped — two runs with different ring capacities still agree on
- * the digest, which is what the CI golden-trace job compares.
+ * the digest, which is what CI's regen-check job compares.
  *
  * Sinks are strictly per-simulation objects: a parallel sweep gives each
  * job its own sink and reduces the digests in job-index order, so any

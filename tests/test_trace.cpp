@@ -2,8 +2,8 @@
  * @file
  * Tests for the hpe::trace subsystem: the ring-buffered TraceSink (event
  * filtering, overflow, digest stability), the IntervalRecorder boundary
- * semantics, the exporters, and the sweep-level digest determinism the CI
- * golden-trace job depends on.
+ * semantics, the exporters, and the sweep-level digest determinism CI's
+ * regen-check job depends on.
  */
 
 #include <gtest/gtest.h>
