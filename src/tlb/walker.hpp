@@ -105,7 +105,4 @@ class FixedLatencyWalker : public WalkerBase
     Counter &faults_;
 };
 
-/** Backwards-compatible alias (the original name of the fixed walker). */
-using PageWalker = FixedLatencyWalker;
-
 } // namespace hpe

@@ -5,7 +5,10 @@
  * files.  The demand-paging cells run with the prefetch/batching code
  * explicitly disabled (--prefetch none --fault-batch 1), proving that
  * compiling the new subsystem in changes *nothing* unless it is turned
- * on; the density cell pins the prefetcher-enabled event stream.
+ * on; the density cell pins the prefetcher-enabled event stream.  Every
+ * cell tools/regen_golden.sh writes is replayed here, and the quick
+ * tournament is compared with ci/leaderboard_baseline.json
+ * (tools/regen_leaderboard.sh) the same way.
  *
  * Paths resolve against HPE_REPO_ROOT (a compile definition), so the test
  * works from any build directory.
@@ -13,11 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "api/json.hpp"
 #include "cli/args.hpp"
 #include "cli/commands.hpp"
 
@@ -110,6 +118,17 @@ TEST(GoldenPin, DensityPrefetchCellIsByteIdentical)
     expectPinned(got, expected, "KMN_HPE_density");
 }
 
+TEST(GoldenPin, MetaDuelCellIsByteIdentical)
+{
+    // Pins the meta-policy's interval boundaries, its policy_switch
+    // events (folded into the digest) and the meta_active /
+    // meta_switches interval columns.
+    const std::string expected = readFile(goldenPath("KMN_MetaDuel.digest"))
+        + readFile(goldenPath("KMN_MetaDuel.intervals.csv"));
+    expectPinned(runCell({"--app", "KMN", "--policy", "Meta-duel"}), expected,
+                 "KMN_MetaDuel");
+}
+
 TEST(GoldenPin, ExplicitBaselinePageSizesMatchEveryCell)
 {
     // Spelling out --page-sizes 4k must be the identity: the page-size
@@ -153,6 +172,38 @@ TEST(GoldenPin, HugePageCoalescingCellsAreByteIdentical)
                     /*scale=*/"1.0");
         expectPinned(got, expected, "STN_LRU_2m");
     }
+}
+
+TEST(GoldenPin, QuickLeaderboardMatchesBaseline)
+{
+    // The run tools/regen_leaderboard.sh makes, written to a file of
+    // this process's own.
+    const std::string file = ::testing::TempDir() + "quick_leaderboard."
+        + std::to_string(::getpid()) + ".json";
+    const std::vector<const char *> argv = {
+        "hpe_sim", "tournament", "--quick", "--jobs", "4", "--json",
+        file.c_str()};
+    const cli::Args args =
+        cli::Args::parse(static_cast<int>(argv.size()), argv.data());
+    std::ostringstream os;
+    ASSERT_EQ(cli::tournamentCommand(args, os), 0);
+    const std::string got = readFile(file);
+    std::remove(file.c_str());
+    const std::string expected = readFile(std::string(HPE_REPO_ROOT)
+                                          + "/ci/leaderboard_baseline.json");
+    ASSERT_FALSE(expected.empty());
+    EXPECT_TRUE(got == expected)
+        << "the quick tournament moved; if intended, regenerate with "
+           "tools/regen_leaderboard.sh";
+
+    // The adaptive claim: a meta-policy strictly beats every static
+    // policy on at least one cell group.
+    const std::optional<api::json::Value> doc = api::json::parse(got);
+    ASSERT_TRUE(doc.has_value());
+    const api::json::Value *wins = doc->find("meta_beats_all_statics");
+    ASSERT_NE(wins, nullptr);
+    ASSERT_TRUE(wins->isArray());
+    EXPECT_FALSE(wins->asArray().empty());
 }
 
 } // namespace

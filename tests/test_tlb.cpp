@@ -115,7 +115,7 @@ TEST(Walker, HitReturnsFrameAndLatency)
     StatRegistry stats;
     PageTable pt;
     pt.map(3, 42);
-    PageWalker walker(pt, 8, stats, "w");
+    FixedLatencyWalker walker(pt, 8, stats, "w");
     const WalkResult r = walker.walk(3);
     EXPECT_TRUE(r.hit);
     EXPECT_EQ(r.frame, 42u);
@@ -126,7 +126,7 @@ TEST(Walker, MissIsFault)
 {
     StatRegistry stats;
     PageTable pt;
-    PageWalker walker(pt, 8, stats, "w");
+    FixedLatencyWalker walker(pt, 8, stats, "w");
     const WalkResult r = walker.walk(3);
     EXPECT_FALSE(r.hit);
     EXPECT_EQ(r.frame, kInvalidId);
@@ -137,7 +137,7 @@ TEST(Walker, HitObserverFiresOnHitsOnly)
     StatRegistry stats;
     PageTable pt;
     pt.map(1, 0);
-    PageWalker walker(pt, 8, stats, "w");
+    FixedLatencyWalker walker(pt, 8, stats, "w");
     std::vector<PageId> observed;
     walker.setHitObserver([&](PageId p) { observed.push_back(p); });
     walker.walk(1);
@@ -151,7 +151,7 @@ TEST(Walker, StatsCountWalks)
     StatRegistry stats;
     PageTable pt;
     pt.map(1, 0);
-    PageWalker walker(pt, 8, stats, "w");
+    FixedLatencyWalker walker(pt, 8, stats, "w");
     walker.walk(1);
     walker.walk(2);
     EXPECT_EQ(stats.findCounter("w.walks").value(), 2u);

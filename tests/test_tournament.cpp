@@ -2,7 +2,8 @@
  * @file
  * Tests for the tournament harness: canonical cell order, reduction
  * arithmetic, byte-identical JSON across --jobs, and the leaderboard
- * document structure the CI gate consumes.
+ * document structure (tests/test_golden_pin.cpp pins the quick
+ * tournament's bytes).
  */
 
 #include <gtest/gtest.h>

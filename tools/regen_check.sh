@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
-# Consolidated drift check for every regenerated artifact the repository
-# pins — CI's regen-check job runs exactly this script, so "what CI
-# verifies" and "what a developer can verify locally" are one thing:
+# Drift check for every regenerated artifact the repository pins — CI's
+# regen-check job runs exactly this script, so "what CI verifies" and
+# "what a developer can verify locally" are one thing:
 #
-#   1. ci/golden/ digests and interval CSVs match a fresh run
+#   1. the decision rules of the checks below and of tools/ab.py
+#      (tools/test_gates.py);
+#   2. ci/golden/ digests and interval CSVs match a fresh run
 #      (tools/regen_golden.sh --check);
-#   2. the checked-in baselines carry the tool-version stamps their
-#      gates expect — BENCH_throughput.json (tools/bench_gate.py) and
-#      ci/leaderboard_baseline.json (tools/leaderboard_gate.py).  A
-#      baseline regenerated by an older writer, or hand-edited without a
-#      stamp, fails here instead of producing a meaningless comparison
-#      in the gate jobs.
+#   3. ci/work_counts.json matches the work counts of perfbench's traced
+#      replay and timing runs (tools/regen_work_counts.py --check; it
+#      builds perfbench into .bench_build/perfbench on first use).
+#
+# The quick tournament's pin, ci/leaderboard_baseline.json, is checked
+# byte for byte by the tier-1 test GoldenPin.QuickLeaderboardMatchesBaseline.
 #
 # Usage:
 #   tools/regen_check.sh [HPE_SIM_BINARY]
@@ -25,26 +27,9 @@ BIN=${1:-build/tools/hpe_sim}
 
 status=0
 
+python3 tools/test_gates.py || status=1
 ./tools/regen_golden.sh --check "$BIN" || status=1
-
-check_stamp() {
-    local file="$1" expected="$2" regen="$3"
-    local stamp
-    stamp=$(python3 -c "import json,sys; \
-print(json.load(open(sys.argv[1])).get('tool_version', ''))" "$file")
-    if [[ "$stamp" != "$expected" ]]; then
-        echo "MISMATCH: $file tool_version is '$stamp'," >&2
-        echo "    expected '$expected'; regenerate with $regen" >&2
-        status=1
-    else
-        echo "stamp ok: $file ($stamp)"
-    fi
-}
-
-check_stamp BENCH_throughput.json "hpe-bench-throughput/1" \
-    tools/regen_bench.sh
-check_stamp ci/leaderboard_baseline.json "hpe-tournament/1" \
-    tools/regen_leaderboard.sh
+python3 tools/regen_work_counts.py --check || status=1
 
 if [[ "$status" != 0 ]]; then
     echo "regen-check failed; see mismatches above" >&2

@@ -2,11 +2,12 @@
 # Regenerate the checked-in tournament baseline
 # (ci/leaderboard_baseline.json) from `hpe_sim tournament --quick`.
 #
-# The baseline is what tools/leaderboard_gate.py compares CI's fresh
-# leaderboard against; refresh it after an intentional policy or
-# workload change moved the standings, review the diff (in particular
-# that meta_beats_all_statics stays non-empty — the gate fails CI
-# otherwise), and commit it together with the change.
+# The tier-1 test GoldenPin.QuickLeaderboardMatchesBaseline requires a
+# fresh quick tournament to equal this file byte for byte, and its
+# meta_beats_all_statics list to be non-empty; refresh the file after an
+# intentional policy or workload change moved the standings, review the
+# diff (in particular that the adaptive wins survived), and commit it
+# together with the change.
 #
 # The tournament is functional-mode and deterministic for any --jobs, so
 # a baseline regenerated anywhere matches CI byte for byte.
