@@ -31,19 +31,16 @@ HirCache::recordHit(PageId page)
     const std::uint8_t ceiling =
         static_cast<std::uint8_t>((1u << cfg_.hirCounterBits) - 1);
 
-    auto *entry = array_.find(set);
-    if (entry == nullptr) {
-        SetAssocArray<Payload>::Entry displaced;
-        SetAssocArray<Payload>::Entry *victim_out = &displaced;
-        const std::uint64_t before = array_.conflictEvictions();
-        entry = &array_.insert(set, victim_out);
-        if (array_.conflictEvictions() != before) {
+    SetAssocArray<Payload>::Entry displaced;
+    const auto [entry, resident] = array_.findOrInsert(set, &displaced);
+    if (!resident) {
+        if (displaced.valid) {
             // A way conflict silently dropped a live entry: its counts are
             // lost, exactly the information-loss case of §IV-B.
             ++conflicts_;
             std::erase(order_, displaced.tag);
         }
-        order_.push_back(set); // insert() zeroed the counts
+        order_.push_back(set); // the insertion zeroed the counts
     }
     std::uint8_t &c = entry->data.counts[offset];
     if (c < ceiling)

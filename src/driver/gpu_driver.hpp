@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/event_queue.hpp"
@@ -45,6 +44,7 @@
 #include "driver/pcie.hpp"
 #include "driver/resilience.hpp"
 #include "driver/uvm_manager.hpp"
+#include "mem/page_index.hpp"
 #include "prefetch/fault_batcher.hpp"
 #include "prefetch/prefetcher.hpp"
 
@@ -160,13 +160,15 @@ class GpuDriver
     bool
     requestPage(PageId page, Wakeup wakeup, std::uint32_t stream = 0)
     {
-        auto [it, inserted] = inFlight_.try_emplace(page);
-        it->second.waiters.push_back(std::move(wakeup));
-        if (!inserted) {
+        if (const std::uint32_t s = inFlight_.lookup(page); s != kNoSlot) {
+            slots_[s].waiters.push_back(std::move(wakeup));
             ++merged_;
             return false;
         }
-        it->second.stream = stream;
+        const std::uint32_t s = acquireSlot();
+        inFlight_.insert(page, s);
+        slots_[s].waiters.push_back(std::move(wakeup));
+        slots_[s].stream = stream;
         batcher_.push(page, /*write=*/false, eq_.now());
         queueDepth_.sample(static_cast<double>(batcher_.size()));
         maybeLaunch();
@@ -180,6 +182,22 @@ class GpuDriver
     std::size_t pending() const { return inFlight_.size(); }
 
   private:
+    /**
+     * One fault service: queued or in service while its page maps to it
+     * in inFlight_, then waiting for its wakeup event.
+     */
+    struct InFlight
+    {
+        /** Warps to wake once the page is resident. */
+        std::vector<Wakeup> waiters;
+        /** Access stream of the fault that initiated the service. */
+        std::uint32_t stream = 0;
+        /** Failed service attempts so far (chaos retry path). */
+        unsigned attempts = 0;
+    };
+
+    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
     /** Apply the batching discipline: launch now or arm the flush timer. */
     void
     maybeLaunch()
@@ -207,19 +225,18 @@ class GpuDriver
     void
     launchAll()
     {
-        const auto batch = batcher_.flush();
-        if (batch.empty())
+        if (batcher_.empty())
             return; // flush timer fired after a size-triggered drain
         ++batches_;
-        batchOccupancy_.sample(static_cast<double>(batch.size()));
-        for (const prefetch::PendingFault &pf : batch) {
+        batchOccupancy_.sample(static_cast<double>(batcher_.size()));
+        batcher_.drain([this](const prefetch::PendingFault &pf) {
             const Cycle start = std::max(eq_.now(), nextStart_);
             nextStart_ = start + cfg_.serviceInitiationCycles;
             // Host-core occupancy: the initiation slice per fault.
             busyCycles_ += cfg_.serviceInitiationCycles;
             eq_.schedule(start + cfg_.faultServiceCycles,
                          [this, page = pf.page] { complete(page); });
-        }
+        });
     }
 
     /**
@@ -235,7 +252,7 @@ class GpuDriver
         const bool xfer_failed = !timed_out && injector_->pcieTransferFails();
         if (!timed_out && !xfer_failed)
             return true;
-        const unsigned attempt = ++inFlight_.at(page).attempts;
+        const unsigned attempt = ++slotOf(page).attempts;
         if (attempt > cfg_.retry.maxAttempts) {
             // Attempt budget exhausted: escalate to the reliable slow
             // path and service the fault regardless — delayed, not lost.
@@ -274,7 +291,7 @@ class GpuDriver
         // are left to their own service.
         if (prefetcher_ != nullptr) {
             prefetched_ += uvm_.prefetchAfterFault(
-                *prefetcher_, page, inFlight_.at(page).stream,
+                *prefetcher_, page, slotOf(page).stream,
                 [this](PageId q) { return inFlight_.contains(q); },
                 [this, &done](PageId) {
                     done = pcie_.transfer(done, kPageBytes);
@@ -288,12 +305,45 @@ class GpuDriver
                 done = pcie_.transfer(done, hir_bytes);
         }
 
-        auto node = inFlight_.extract(page);
-        HPE_ASSERT(!node.empty(), "fault completion with no waiters");
-        eq_.schedule(done, [waiters = std::move(node.mapped().waiters)] {
-            for (const Wakeup &w : waiters)
-                w();
-        });
+        // The page leaves the index now, so a fault on it before the
+        // wakeup fires starts a new service in a fresh slot.
+        const std::uint32_t s = inFlight_.erase(page);
+        HPE_ASSERT(s != kNoSlot, "fault completion with no waiters");
+        eq_.schedule(done, [this, s] { wake(s); });
+    }
+
+    /** Run slot @p s's wakeups in arrival order, then recycle the slot. */
+    void
+    wake(std::uint32_t s)
+    {
+        // Index slots_ afresh per call: a waiter that faults again may
+        // grow it (moving a vector keeps its elements where they are).
+        for (std::size_t i = 0; i < slots_[s].waiters.size(); ++i)
+            slots_[s].waiters[i]();
+        slots_[s].waiters.clear(); // keeps its capacity for the next fault
+        freeSlots_.push_back(s);
+    }
+
+    std::uint32_t
+    acquireSlot()
+    {
+        if (freeSlots_.empty()) {
+            slots_.emplace_back();
+            return static_cast<std::uint32_t>(slots_.size() - 1);
+        }
+        const std::uint32_t s = freeSlots_.back();
+        freeSlots_.pop_back();
+        slots_[s].attempts = 0;
+        return s;
+    }
+
+    /** The slot of @p page, which must have a fault queued or in service. */
+    InFlight &
+    slotOf(PageId page)
+    {
+        const std::uint32_t s = inFlight_.lookup(page);
+        HPE_ASSERT(s != kNoSlot, "page {:#x} has no fault in flight", page);
+        return slots_[s];
     }
 
     DriverConfig cfg_;
@@ -304,25 +354,16 @@ class GpuDriver
     StatRegistry &stats_;
     std::string name_;
 
-    /** A page with a fault queued or in service. */
-    struct InFlight
-    {
-        /** Warps to wake once the page is resident. */
-        std::vector<Wakeup> waiters;
-        /** Access stream of the fault that initiated the service. */
-        std::uint32_t stream = 0;
-        /** Failed service attempts so far (chaos retry path). */
-        unsigned attempts = 0;
-    };
-
     prefetch::FaultBatcher batcher_;
     std::unique_ptr<prefetch::Prefetcher> prefetcher_;
+    /** Page -> slot, for every page with a fault queued or in service. */
+    DensePageMap<std::uint32_t, kNoSlot> inFlight_;
     /**
-     * Every page with a fault in flight.  A hash map, not a dense page
-     * container: its entries own wakeup lists, and it holds only the
-     * pages currently faulting.
+     * Fault services, recycled through freeSlots_ after their wakeup, so
+     * a steady fault stream reuses the waiter vectors' storage.
      */
-    std::unordered_map<PageId, InFlight> inFlight_;
+    std::vector<InFlight> slots_;
+    std::vector<std::uint32_t> freeSlots_;
     Cycle nextStart_ = 0;
     Cycle busyCycles_ = 0;
     bool flushTimerArmed_ = false;

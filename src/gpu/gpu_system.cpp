@@ -1,5 +1,7 @@
 #include "gpu/gpu_system.hpp"
 
+#include <bit>
+
 #include "common/log.hpp"
 
 namespace hpe {
@@ -135,9 +137,10 @@ GpuSystem::issueNext(Warp &warp)
         return;
     }
     const PageRef &ref = trace_.refs()[warp.refs[warp.refIdx]];
-    const std::uint64_t lines_per_page = kPageBytes / cfg_.l1d.lineBytes;
-    const Addr addr = addrOf(ref.page)
-        + (warp.lineIdx % lines_per_page) * cfg_.l1d.lineBytes;
+    // DataCache holds the line size to a power of two up to the page size.
+    const auto line_shift = static_cast<unsigned>(std::countr_zero(cfg_.l1d.lineBytes));
+    const std::uint64_t line_mask = (kPageBytes >> line_shift) - 1;
+    const Addr addr = addrOf(ref.page) + ((warp.lineIdx & line_mask) << line_shift);
     translate(warp, addr);
 }
 

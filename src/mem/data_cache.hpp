@@ -10,10 +10,12 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <variant>
 
+#include "common/log.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "mem/page_index.hpp"
@@ -26,6 +28,7 @@ struct DataCacheConfig
 {
     std::size_t sizeBytes = 16 * 1024;
     std::size_t ways = 4;
+    /** A power of two, at most kPageBytes. */
     std::size_t lineBytes = 128;
     Cycle hitLatency = 1;
 };
@@ -41,10 +44,15 @@ class DataCache
      */
     DataCache(const DataCacheConfig &cfg, StatRegistry &stats, const std::string &name)
         : cfg_(cfg),
+          lineShift_(static_cast<unsigned>(std::countr_zero(cfg.lineBytes))),
           array_(cfg.sizeBytes / cfg.lineBytes, cfg.ways),
           hits_(stats.counter(name + ".hits")),
           misses_(stats.counter(name + ".misses"))
-    {}
+    {
+        HPE_ASSERT(std::has_single_bit(cfg.lineBytes) && cfg.lineBytes <= kPageBytes,
+                   "line size {} is not a power of two up to the page size",
+                   cfg.lineBytes);
+    }
 
     /**
      * Look up the line containing @p addr; fill it on a miss.
@@ -53,14 +61,13 @@ class DataCache
     bool
     access(Addr addr)
     {
-        const std::uint64_t line = addr / cfg_.lineBytes;
-        if (array_.find(line) != nullptr) {
+        const std::uint64_t line = addr >> lineShift_;
+        SetAssocArray<std::monostate>::Entry victim;
+        if (array_.findOrInsert(line, &victim).second) {
             ++hits_;
             return true;
         }
         ++misses_;
-        SetAssocArray<std::monostate>::Entry victim;
-        array_.insert(line, &victim);
         if (victim.valid) {
             const PageId old = pageOfLine(victim.tag);
             if (const std::uint32_t left = lines_.lookup(old) - 1; left > 0)
@@ -87,8 +94,8 @@ class DataCache
         std::uint32_t remaining = lines_.erase(page);
         if (remaining == 0)
             return;
-        const std::uint64_t first = addrOf(page) / cfg_.lineBytes;
-        const std::uint64_t count = kPageBytes / cfg_.lineBytes;
+        const std::uint64_t first = addrOf(page) >> lineShift_;
+        const std::uint64_t count = kPageBytes >> lineShift_;
         for (std::uint64_t l = first; l < first + count && remaining > 0; ++l)
             if (array_.erase(l))
                 --remaining;
@@ -102,10 +109,11 @@ class DataCache
     PageId
     pageOfLine(std::uint64_t line) const
     {
-        return line * cfg_.lineBytes / kPageBytes;
+        return line >> (kPageShift - lineShift_);
     }
 
     DataCacheConfig cfg_;
+    unsigned lineShift_; ///< log2(lineBytes)
     SetAssocArray<std::monostate> array_;
     Counter &hits_;
     Counter &misses_;

@@ -11,12 +11,14 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "common/event_queue.hpp"
+#include "common/fast_mod.hpp"
+#include "common/log.hpp"
 #include "common/small_function.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -27,6 +29,7 @@ namespace hpe {
 struct DramConfig
 {
     std::size_t channels = 12;
+    /** Banks, row and line size are powers of two. */
     std::size_t banksPerChannel = 16;
     std::size_t rowBytes = 2048;
     std::size_t lineBytes = 128;
@@ -57,6 +60,10 @@ class Dram
           reads_(stats.counter(name + ".reads")),
           rowHits_(stats.counter(name + ".rowHits")),
           rowMisses_(stats.counter(name + ".rowMisses")),
+          lineShift_(log2Of(cfg.lineBytes, "line size")),
+          rowShift_(log2Of(cfg.rowBytes, "row size")),
+          bankShift_(log2Of(cfg.banksPerChannel, "bank count")),
+          channelOfLine_(cfg.channels),
           channels_(cfg.channels)
     {
         for (auto &ch : channels_)
@@ -105,37 +112,97 @@ class Dram
         bool live;
     };
 
+    /**
+     * A channel's request queue: a FIFO over a power-of-two ring that
+     * doubles when full.  Unlike std::deque it never frees a block, so a
+     * steady request stream reuses the same slots without allocating.
+     * A popped slot keeps its moved-from request until it is reused.
+     */
+    class RequestRing
+    {
+      public:
+        bool empty() const { return size_ == 0; }
+        std::size_t size() const { return size_; }
+
+        /** The @p i-th request from the front. */
+        Request &
+        operator[](std::size_t i)
+        {
+            return slots_[(head_ + i) & (slots_.size() - 1)];
+        }
+
+        Request &front() { return slots_[head_]; }
+
+        void
+        push_back(Request r)
+        {
+            if (size_ == slots_.size())
+                grow();
+            (*this)[size_] = std::move(r);
+            ++size_;
+        }
+
+        void
+        pop_front()
+        {
+            head_ = (head_ + 1) & (slots_.size() - 1);
+            --size_;
+        }
+
+      private:
+        void
+        grow()
+        {
+            std::vector<Request> bigger(slots_.empty() ? 16 : 2 * slots_.size());
+            for (std::size_t i = 0; i < size_; ++i)
+                bigger[i] = std::move((*this)[i]);
+            slots_.swap(bigger);
+            head_ = 0;
+        }
+
+        std::vector<Request> slots_;
+        std::size_t head_ = 0;
+        std::size_t size_ = 0;
+    };
+
     struct Channel
     {
-        std::deque<Request> queue;
+        RequestRing queue;
         std::vector<std::uint64_t> openRow;
         bool busy = false;
     };
+
+    static unsigned
+    log2Of(std::size_t n, const char *what)
+    {
+        HPE_ASSERT(std::has_single_bit(n), "DRAM {} {} is not a power of two", what, n);
+        return static_cast<unsigned>(std::countr_zero(n));
+    }
 
     std::size_t
     channelOf(Addr addr) const
     {
         // Interleave at line granularity across channels.
-        return (addr / cfg_.lineBytes) % cfg_.channels;
+        return channelOfLine_(addr >> lineShift_);
     }
 
     std::size_t
     bankOf(Addr addr) const
     {
-        return (addr / cfg_.rowBytes) % cfg_.banksPerChannel;
+        return (addr >> rowShift_) & (cfg_.banksPerChannel - 1);
     }
 
     std::uint64_t
     rowOf(Addr addr) const
     {
-        return addr / cfg_.rowBytes / cfg_.banksPerChannel;
+        return addr >> (rowShift_ + bankShift_);
     }
 
     /**
      * FR-FCFS pick: first row hit in queue order, else the oldest.
      *
      * Requests picked out of FIFO order are tombstoned (live = false)
-     * rather than erased — erasing from the middle of the deque would
+     * rather than erased — erasing from the middle of the ring would
      * shift every younger request (and relocate its callback) on each
      * row hit.  Tombstones are reclaimed when they reach the front, so
      * the queue never grows past the deepest in-flight backlog.
@@ -184,6 +251,10 @@ class Dram
     Counter &reads_;
     Counter &rowHits_;
     Counter &rowMisses_;
+    unsigned lineShift_;   ///< log2(lineBytes)
+    unsigned rowShift_;    ///< log2(rowBytes)
+    unsigned bankShift_;   ///< log2(banksPerChannel)
+    FastMod channelOfLine_; ///< line index -> channel
     std::vector<Channel> channels_;
 };
 

@@ -16,9 +16,8 @@
  * footprint, not the configured limit.
  *
  * Page-keyed state everywhere in the simulator is built from these
- * containers.  The two hash tables kept on purpose — HPE's fallback
- * order and GpuDriver's in-flight faults — say why where they are
- * declared.
+ * containers.  The one hash table kept on purpose, HPE's fallback order,
+ * says why where it is declared.
  */
 
 #pragma once

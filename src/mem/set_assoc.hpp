@@ -8,10 +8,11 @@
 
 #pragma once
 
-#include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "common/fast_mod.hpp"
 #include "common/log.hpp"
 #include "mem/page_index.hpp"
 
@@ -37,6 +38,11 @@ namespace hpe {
  * tag -> way index so probes are O(1) instead of a 128-way scan.  The
  * index is pure acceleration — it never influences victim choice — so
  * hit/miss/eviction behaviour is identical with or without it.
+ *
+ * The fill paths probe a set once: findOrInsert() (caches, HIR) and
+ * insertIfAbsent() (TLB fills) look the key up and, on a miss, pick the
+ * victim way in the same set.  insert() keeps its duplicate-tag check
+ * for callers that know the key is absent.
  */
 template <typename Payload>
 class SetAssocArray
@@ -53,16 +59,13 @@ class SetAssocArray
 
     /**
      * @param num_entries total capacity; must be a multiple of @p num_ways.
-     * @param num_ways    associativity; the set count must be a power of two.
+     * @param num_ways    associativity.
      */
     SetAssocArray(std::size_t num_entries, std::size_t num_ways)
-        : ways_(num_ways), sets_(num_entries / num_ways),
+        : ways_(num_ways), sets_(validSets(num_entries, num_ways)),
           entries_(num_entries), tags_(num_entries, kEmptyTag),
-          indexed_(sets_ == 1)
-    {
-        HPE_ASSERT(num_ways > 0 && num_entries % num_ways == 0,
-                   "bad geometry: {} entries, {} ways", num_entries, num_ways);
-    }
+          indexed_(sets_ == 1), setMod_(sets_)
+    {}
 
     std::size_t numWays() const { return ways_; }
     std::size_t numSets() const { return sets_; }
@@ -82,24 +85,7 @@ class SetAssocArray
     Entry *
     probe(std::uint64_t key)
     {
-        if (indexed_) {
-            const std::uint32_t w = index_.lookup(key);
-            if (w == kNoWay)
-                return nullptr;
-            Entry &e = entries_[w];
-            HPE_ASSERT(e.valid && e.tag == key, "way index out of sync");
-            return &e;
-        }
-        const std::size_t base = setIndex(key) * ways_;
-        const std::uint64_t *tags = tags_.data() + base;
-        for (std::size_t w = 0; w < ways_; ++w) {
-            if (tags[w] == key) {
-                Entry &e = entries_[base + w];
-                if (e.valid && e.tag == key) [[likely]]
-                    return &e;
-            }
-        }
-        return nullptr;
+        return probeSet(setBase(key), key);
     }
 
     /**
@@ -113,35 +99,36 @@ class SetAssocArray
     insert(std::uint64_t key, Entry *victim = nullptr)
     {
         HPE_ASSERT(probe(key) == nullptr, "duplicate insert of tag {:#x}", key);
-        const std::size_t base = setIndex(key) * ways_;
-        Entry *slot = nullptr;
-        for (std::size_t w = 0; w < ways_; ++w) {
-            Entry &e = entries_[base + w];
-            if (!e.valid) {
-                slot = &e;
-                break;
-            }
-            if (slot == nullptr || e.lastUse < slot->lastUse)
-                slot = &e;
+        return place(setBase(key), key, victim);
+    }
+
+    /**
+     * find(), and on a miss insert(), probing the set once.
+     *
+     * @param[out] victim as for insert(); untouched on a hit.
+     * @return the entry holding @p key, and true if it was already resident.
+     */
+    std::pair<Entry *, bool>
+    findOrInsert(std::uint64_t key, Entry *victim = nullptr)
+    {
+        const std::size_t base = setBase(key);
+        if (Entry *e = probeSet(base, key)) {
+            e->lastUse = ++clock_;
+            return {e, true};
         }
-        if (slot->valid && victim != nullptr)
-            *victim = *slot;
-        const bool evicted = slot->valid;
-        if (evicted)
-            ++conflictEvictions_;
-        const std::uint64_t displaced = slot->tag;
-        *slot = Entry{};
-        slot->tag = key;
-        slot->valid = true;
-        slot->lastUse = ++clock_;
-        const auto way = static_cast<std::size_t>(slot - entries_.data());
-        tags_[way] = key;
-        if (indexed_) {
-            if (evicted)
-                index_.erase(displaced);
-            index_.insert(key, static_cast<std::uint32_t>(way));
-        }
-        return *slot;
+        return {&place(base, key, victim), false};
+    }
+
+    /**
+     * Insert @p key unless it is resident, probing the set once.  A
+     * resident entry's LRU stamp is left alone.
+     */
+    void
+    insertIfAbsent(std::uint64_t key)
+    {
+        const std::size_t base = setBase(key);
+        if (probeSet(base, key) == nullptr)
+            place(base, key, nullptr);
     }
 
     /** Remove the entry for @p key if resident. @return true if removed. */
@@ -193,19 +180,82 @@ class SetAssocArray
     std::uint64_t conflictEvictions() const { return conflictEvictions_; }
 
     /**
-     * Set index for @p key.  Power-of-two set counts (the common case:
-     * TLBs, HIR) use a mask; others (the 1.5 MB L2 with 12 channels'
-     * worth of sets) fall back to modulo.
+     * Set index for @p key: a mask for power-of-two set counts (TLBs,
+     * HIR), a multiply-high remainder for the others (the 1.5 MB L2 with
+     * 12 channels' worth of sets); see FastMod.
      */
-    std::size_t
-    setIndex(std::uint64_t key) const
-    {
-        if (std::has_single_bit(sets_))
-            return key & (sets_ - 1);
-        return key % sets_;
-    }
+    std::size_t setIndex(std::uint64_t key) const { return setMod_(key); }
 
   private:
+    static std::size_t
+    validSets(std::size_t num_entries, std::size_t num_ways)
+    {
+        HPE_ASSERT(num_ways > 0 && num_entries % num_ways == 0
+                       && num_entries >= num_ways,
+                   "bad geometry: {} entries, {} ways", num_entries, num_ways);
+        return num_entries / num_ways;
+    }
+
+    /** Index of the first way of @p key's set in entries_ and tags_. */
+    std::size_t setBase(std::uint64_t key) const { return setIndex(key) * ways_; }
+
+    /** The resident entry for @p key in the set at @p base, or null. */
+    Entry *
+    probeSet(std::size_t base, std::uint64_t key)
+    {
+        if (indexed_) {
+            const std::uint32_t w = index_.lookup(key);
+            if (w == kNoWay)
+                return nullptr;
+            Entry &e = entries_[w];
+            HPE_ASSERT(e.valid && e.tag == key, "way index out of sync");
+            return &e;
+        }
+        const std::uint64_t *tags = tags_.data() + base;
+        for (std::size_t w = 0; w < ways_; ++w) {
+            if (tags[w] == key) {
+                Entry &e = entries_[base + w];
+                if (e.valid && e.tag == key) [[likely]]
+                    return &e;
+            }
+        }
+        return nullptr;
+    }
+
+    /** Install absent @p key in the set at @p base (insert() minus its check). */
+    Entry &
+    place(std::size_t base, std::uint64_t key, Entry *victim)
+    {
+        Entry *slot = nullptr;
+        for (std::size_t w = 0; w < ways_; ++w) {
+            Entry &e = entries_[base + w];
+            if (!e.valid) {
+                slot = &e;
+                break;
+            }
+            if (slot == nullptr || e.lastUse < slot->lastUse)
+                slot = &e;
+        }
+        if (slot->valid && victim != nullptr)
+            *victim = *slot;
+        const bool evicted = slot->valid;
+        if (evicted)
+            ++conflictEvictions_;
+        const std::uint64_t displaced = slot->tag;
+        *slot = Entry{};
+        slot->tag = key;
+        slot->valid = true;
+        slot->lastUse = ++clock_;
+        const auto way = static_cast<std::size_t>(slot - entries_.data());
+        tags_[way] = key;
+        if (indexed_) {
+            if (evicted)
+                index_.erase(displaced);
+            index_.insert(key, static_cast<std::uint32_t>(way));
+        }
+        return *slot;
+    }
+
     /**
      * Mirror value for empty slots.  A genuine key equal to this only
      * costs the probe a confirming compare against the Entry, so it is
@@ -223,6 +273,7 @@ class SetAssocArray
     std::vector<Entry> entries_;
     std::vector<std::uint64_t> tags_; ///< SoA mirror of (valid, tag)
     bool indexed_;                    ///< fully associative: keep tag -> way
+    FastMod setMod_;                  ///< key -> set index
     WayIndex index_;
 };
 

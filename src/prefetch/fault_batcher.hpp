@@ -48,6 +48,7 @@ class FaultBatcher
     {
         HPE_ASSERT(window_ > 0, "fault batch window must be positive");
         pending_.reserve(window_);
+        draining_.reserve(window_);
     }
 
     /**
@@ -69,18 +70,22 @@ class FaultBatcher
     bool contains(PageId page) const { return members_.contains(page); }
 
     /**
-     * Drain the window: move out every pending fault in arrival order.
-     * The batcher is empty afterwards.
+     * Drain the window: call @p fn on every pending fault in arrival
+     * order.  The window is empty before the first call, so @p fn sees no
+     * fault as pending and may push new ones.  Both buffers keep their
+     * capacity, so draining does not allocate.
      */
-    std::vector<PendingFault>
-    flush()
+    template <typename Fn>
+    void
+    drain(Fn &&fn)
     {
-        for (const PendingFault &pf : pending_)
+        HPE_ASSERT(draining_.empty(), "nested fault batch drain");
+        draining_.swap(pending_);
+        for (const PendingFault &pf : draining_)
             members_.erase(pf.page);
-        std::vector<PendingFault> out;
-        out.swap(pending_);
-        pending_.reserve(window_);
-        return out;
+        for (const PendingFault &pf : draining_)
+            fn(pf);
+        draining_.clear();
     }
 
     std::size_t size() const { return pending_.size(); }
@@ -91,6 +96,7 @@ class FaultBatcher
   private:
     unsigned window_;
     std::vector<PendingFault> pending_;
+    std::vector<PendingFault> draining_; ///< the batch drain() is visiting
     DensePageSet members_;
 };
 

@@ -150,10 +150,7 @@ runPaging(const Trace &trace, EvictionPolicy &policy, std::size_t frames,
         if (pf.write)
             uvm.markDirty(pf.page);
     };
-    const auto flush = [&] {
-        for (const prefetch::PendingFault &pf : batcher.flush())
-            service(pf);
-    };
+    const auto flush = [&] { batcher.drain(service); };
 
     PagingResult result;
     for (const PageRef &ref : trace.refs()) {

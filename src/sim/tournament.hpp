@@ -1,7 +1,7 @@
 /**
  * @file
- * Policy-tournament harness behind `hpe_sim tournament` and the CI
- * leaderboard gate.
+ * Policy-tournament harness behind `hpe_sim tournament` and the quick
+ * leaderboard's byte pin (GoldenPin.QuickLeaderboardMatchesBaseline).
  *
  * A tournament is a functional-mode sweep over the full cross product
  * (workload x policy x prefetcher x oversubscription), reduced into a
@@ -30,8 +30,9 @@
 
 namespace hpe {
 
-/** Stamp written into every leaderboard JSON; the CI gate refuses to
- *  compare files produced by a different tournament revision. */
+/** Stamp written into every leaderboard JSON, so a leaderboard from a
+ *  different tournament revision fails the byte pin against
+ *  ci/leaderboard_baseline.json (GoldenPin.QuickLeaderboardMatchesBaseline). */
 inline constexpr const char *kTournamentToolVersion = "hpe-tournament/1";
 
 /** The cross product one tournament evaluates. */

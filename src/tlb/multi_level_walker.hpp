@@ -65,13 +65,12 @@ class MultiLevelWalker : public WalkerBase
         const FrameId frame = table_.walk(page, [&](unsigned level) {
             if (level >= 2) {
                 const std::uint64_t key = pwcKey(page, level);
-                if (pwc_.find(key) != nullptr) {
+                if (pwc_.findOrInsert(key).second) {
                     ++pwcHits_;
                     latency += cfg_.pwcHitCycles;
                     return;
                 }
                 ++pwcMisses_;
-                pwc_.insert(key);
             }
             latency += cfg_.levelAccessCycles;
         });

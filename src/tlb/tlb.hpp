@@ -75,12 +75,7 @@ class Tlb
     }
 
     /** Install a translation (no-op if already present). */
-    void
-    fill(PageId page)
-    {
-        if (array_.probe(page) == nullptr)
-            array_.insert(page);
-    }
+    void fill(PageId page) { array_.insertIfAbsent(page); }
 
     /** Invalidate the translation of @p page (on eviction from GPU memory). */
     void invalidate(PageId page) { array_.erase(page); }

@@ -1,18 +1,21 @@
 /**
  * @file
  * Unit tests for the common module: intrusive list, RNG, saturating
- * counter, event queue, formatting, the comma-list splitter, stats, and
- * the table printer.
+ * counter, event queue, fixed-divisor remainder, formatting, the
+ * comma-list splitter, stats, and the table printer.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <sstream>
 #include <string_view>
 #include <vector>
 
 #include "common/comma_list.hpp"
 #include "common/event_queue.hpp"
+#include "common/fast_mod.hpp"
 #include "common/format.hpp"
 #include "common/intrusive_list.hpp"
 #include "common/rng.hpp"
@@ -291,6 +294,28 @@ TEST(EventQueue, StepReturnsFalseWhenEmpty)
 {
     EventQueue eq;
     EXPECT_FALSE(eq.step());
+}
+
+TEST(FastMod, MatchesHardwareRemainder)
+{
+    constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+    std::mt19937_64 rng(17);
+    for (const std::uint64_t d :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{12},
+          std::uint64_t{64}, std::uint64_t{1536}, std::uint64_t{1000003}, k32 - 2,
+          k32 - 1}) {
+        const FastMod mod(d);
+        // Both sides of the 2^32 switch to the hardware remainder.
+        for (const std::uint64_t x :
+             {std::uint64_t{0}, std::uint64_t{1}, d - 1, d, d + 1, k32 - 2, k32 - 1, k32,
+              k32 + 1, (std::uint64_t{1} << 52) | 12345, UINT64_MAX})
+            EXPECT_EQ(mod(x), x % d) << x << " % " << d;
+        for (int i = 0; i < 20000; ++i) {
+            const std::uint64_t x = rng() >> (rng() % 64);
+            ASSERT_EQ(mod(x), x % d) << x << " % " << d;
+        }
+    }
+    EXPECT_DEATH({ FastMod zero(0); }, "bad divisor");
 }
 
 TEST(EventQueue, RunHonorsMaxEvents)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/event_queue.hpp"
@@ -195,6 +197,58 @@ TEST_F(DriverTest, PendingCountsInFlight)
     EXPECT_EQ(driver_.pending(), 2u);
     eq_.run();
     EXPECT_EQ(driver_.pending(), 0u);
+}
+
+TEST(DriverSlots, RefaultBeforeWakeupGetsFreshSlot)
+{
+    // One frame.  Page 0 starts resident and dirty, so page 1's service
+    // writes it back, and a backlog on the link holds page 1's wakeup
+    // until long after page 2's service has evicted page 1 again.
+    const DriverConfig cfg{};
+    StatRegistry stats;
+    LruPolicy lru;
+    EventQueue eq;
+    UvmMemoryManager uvm(1, lru, stats, "uvm");
+    PcieLink pcie(PcieConfig{}, stats, "pcie");
+    GpuDriver driver(cfg, uvm, pcie, eq, stats, "drv");
+    uvm.handleFault(0);
+    uvm.markDirty(0);
+    const Cycle backlog = pcie.transfer(0, 1 << 20);
+    ASSERT_GT(backlog, 2 * (cfg.faultServiceCycles + cfg.serviceInitiationCycles));
+
+    std::vector<std::pair<std::string, Cycle>> woke;
+    const auto waiter = [&](std::string tag) {
+        return [&woke, &eq, tag = std::move(tag)] { woke.emplace_back(tag, eq.now()); };
+    };
+    EXPECT_TRUE(driver.requestPage(1, waiter("1a")));
+    EXPECT_FALSE(driver.requestPage(1, waiter("1a'")));
+    EXPECT_TRUE(driver.requestPage(2, waiter("2")));
+    // Page 1 was serviced (its wakeup waits on the link) and then evicted
+    // by page 2's service: it faults again and must not merge into the
+    // first service, whose slot is still waiting to wake.
+    const Cycle refault = cfg.faultServiceCycles + 2 * cfg.serviceInitiationCycles;
+    eq.schedule(refault, [&] {
+        ASSERT_FALSE(uvm.resident(1));
+        ASSERT_EQ(driver.pending(), 0u);
+        EXPECT_TRUE(driver.requestPage(1, waiter("1b")));
+        EXPECT_FALSE(driver.requestPage(1, waiter("1b'")));
+        EXPECT_EQ(driver.pending(), 1u);
+    });
+    eq.run();
+
+    const Cycle second = refault + cfg.faultServiceCycles;
+    const Cycle first = backlog + pcie.config().cyclesForBytes(kPageBytes);
+    const std::vector<std::pair<std::string, Cycle>> expected = {
+        {"2", cfg.faultServiceCycles + cfg.serviceInitiationCycles},
+        {"1b", second},
+        {"1b'", second},
+        {"1a", first},
+        {"1a'", first},
+    };
+    EXPECT_EQ(woke, expected);
+    EXPECT_EQ(stats.findCounter("drv.faultsServiced").value(), 3u);
+    EXPECT_EQ(stats.findCounter("drv.faultsMerged").value(), 2u);
+    EXPECT_EQ(driver.pending(), 0u);
 }
 
 } // namespace

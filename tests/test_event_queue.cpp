@@ -98,6 +98,34 @@ TEST(EventQueue, OverflowPromotionPreservesSameCycleFifo)
     EXPECT_EQ(eq.stats().overflowPromoted, 1u);
 }
 
+TEST(EventQueue, ScheduleIntoTheCycleBeingDrained)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    const Cycle target = EventQueue::kWheelSpan + 100;
+    // 0 waits in overflow; 1 and 2 join its cycle from the wheel.  Each
+    // callback schedules into the cycle being drained, which must run
+    // after every peer already pending there: (cycle, seq) order.
+    eq.schedule(target, [&] {
+        order.push_back(0);
+        eq.schedule(target, [&] {
+            order.push_back(3);
+            eq.scheduleIn(0, [&] { order.push_back(5); });
+        });
+    });
+    eq.schedule(200, [&] {
+        eq.schedule(target, [&] {
+            order.push_back(1);
+            eq.scheduleIn(0, [&] { order.push_back(4); });
+        });
+        eq.schedule(target, [&] { order.push_back(2); });
+    });
+    eq.schedule(target + 1, [&] { order.push_back(6); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(eq.now(), target + 1);
+}
+
 TEST(EventQueue, SchedulingIntoThePastDies)
 {
     EventQueue eq;
@@ -177,11 +205,14 @@ TEST(EventQueueDifferential, MatchesReferenceHeapOrder)
     std::uint64_t nextSeq = 0;
     std::mt19937 rng(12345);
 
-    // Delays mix same-cycle (0), near, wraparound-scale, and overflow.
+    // Delays mix same-cycle (0), near, the last wheel cycle, the first
+    // overflow cycle and beyond, taken relative to the span so that both
+    // tiers and their boundary stay covered at any wheel geometry.
     const auto randomDelay = [&rng]() -> Cycle {
-        static const Cycle choices[] = {0,    1,     3,     97,
-                                        4096, 60000, 65535, 70000,
-                                        EventQueue::kWheelSpan * 2 + 11};
+        constexpr Cycle span = EventQueue::kWheelSpan;
+        static const Cycle choices[] = {0,        1,        3,
+                                        97,       span - 1, span,
+                                        span + 1, 2 * span + 11};
         return choices[rng() % (sizeof(choices) / sizeof(choices[0]))];
     };
 

@@ -1,15 +1,24 @@
 /**
  * @file
  * Unit tests for the mem module: set-associative array, data caches,
- * FR-FCFS DRAM, page table, and frame allocator.
+ * FR-FCFS DRAM, page table, and frame allocator.  The single-probe fill
+ * paths and the DRAM request ring are each checked against the code they
+ * replaced: find() then insert(), and a std::deque request queue.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <random>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "common/event_queue.hpp"
+#include "common/small_function.hpp"
 #include "common/stats.hpp"
 #include "mem/data_cache.hpp"
 #include "mem/dram.hpp"
@@ -92,6 +101,75 @@ TEST(SetAssoc, ForEachVisitsValidOnly)
     int n = 0;
     arr.forEach([&](auto &) { ++n; });
     EXPECT_EQ(n, 2);
+}
+
+/**
+ * Drive one array through findOrInsert()/insertIfAbsent() and a twin
+ * through find()/probe() then insert(), on random keys that hit, miss,
+ * and straddle 2^32 (where the set index switches to the hardware `%`).
+ * Every outcome, victim and final (tag, stamp, payload) must agree.
+ */
+void
+expectFillPathsMatchFindThenInsert(std::size_t entries, std::size_t ways)
+{
+    SetAssocArray<int> fused(entries, ways);
+    SetAssocArray<int> twin(entries, ways);
+    std::mt19937_64 rng(entries * 31 + ways);
+    const std::uint64_t spread = 3 * entries;
+    const auto randomKey = [&]() -> std::uint64_t {
+        switch (rng() % 4) {
+        case 0:
+            return rng() % spread;
+        case 1:
+            return (std::uint64_t{1} << 32) - 8 + rng() % 16;
+        case 2:
+            return (std::uint64_t{1} << 40) + rng() % spread;
+        default:
+            return (std::uint64_t{1} << 52) | (rng() % spread);
+        }
+    };
+    using Entry = SetAssocArray<int>::Entry;
+    for (int op = 0; op < 40000; ++op) {
+        const std::uint64_t key = randomKey();
+        ASSERT_EQ(fused.setIndex(key), key % fused.numSets());
+        switch (rng() % 4) {
+        case 0:
+        case 1: {
+            Entry got_victim, want_victim;
+            const auto [got, got_hit] = fused.findOrInsert(key, &got_victim);
+            Entry *want = twin.find(key);
+            const bool want_hit = want != nullptr;
+            if (!want_hit)
+                want = &twin.insert(key, &want_victim);
+            ASSERT_EQ(got_hit, want_hit) << "key " << key;
+            ASSERT_EQ(got->data, want->data);
+            ASSERT_EQ(std::tie(got_victim.valid, got_victim.tag, got_victim.data),
+                      std::tie(want_victim.valid, want_victim.tag, want_victim.data));
+            got->data = want->data = op;
+            break;
+        }
+        case 2:
+            fused.insertIfAbsent(key);
+            if (twin.probe(key) == nullptr)
+                twin.insert(key);
+            break;
+        default:
+            ASSERT_EQ(fused.erase(key), twin.erase(key));
+        }
+    }
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, int>> got, want;
+    fused.forEach([&](const Entry &e) { got.emplace_back(e.tag, e.lastUse, e.data); });
+    twin.forEach([&](const Entry &e) { want.emplace_back(e.tag, e.lastUse, e.data); });
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(fused.conflictEvictions(), twin.conflictEvictions());
+    EXPECT_GT(fused.conflictEvictions(), 0u);
+}
+
+TEST(SetAssocDifferential, FillPathsMatchFindThenInsert)
+{
+    expectFillPathsMatchFindThenInsert(128, 128);    // one set: way index
+    expectFillPathsMatchFindThenInsert(512, 16);     // 32 sets: mask
+    expectFillPathsMatchFindThenInsert(1536 * 8, 8); // the L2D: 1,536 sets
 }
 
 TEST(DataCache, HitAfterFill)
@@ -252,6 +330,161 @@ TEST_F(DramTest, IdleReflectsState)
     EXPECT_FALSE(dram_.idle());
     eq_.run();
     EXPECT_TRUE(dram_.idle());
+}
+
+/** The FR-FCFS DRAM as it was before its request ring: a std::deque queue. */
+class DequeDram
+{
+  public:
+    using Callback = SmallFunction<32>;
+
+    DequeDram(const DramConfig &cfg, EventQueue &eq, StatRegistry &stats,
+              const std::string &name)
+        : cfg_(cfg), eq_(eq),
+          rowHits_(stats.counter(name + ".rowHits")),
+          rowMisses_(stats.counter(name + ".rowMisses")),
+          channels_(cfg.channels)
+    {
+        for (auto &ch : channels_)
+            ch.openRow.assign(cfg_.banksPerChannel, kInvalidId);
+    }
+
+    void
+    read(Addr addr, Callback done)
+    {
+        const std::size_t chan = (addr / cfg_.lineBytes) % cfg_.channels;
+        Channel &ch = channels_[chan];
+        ch.queue.push_back(Request{addr, (addr / cfg_.rowBytes) % cfg_.banksPerChannel,
+                                   addr / cfg_.rowBytes / cfg_.banksPerChannel,
+                                   std::move(done), true});
+        if (!ch.busy)
+            serviceNext(chan);
+    }
+
+    std::uint64_t rowHits() const { return rowHits_.value(); }
+    std::uint64_t rowMisses() const { return rowMisses_.value(); }
+
+  private:
+    struct Request
+    {
+        Addr addr;
+        std::size_t bank;
+        std::uint64_t row;
+        Callback done;
+        bool live;
+    };
+
+    struct Channel
+    {
+        std::deque<Request> queue;
+        std::vector<std::uint64_t> openRow;
+        bool busy = false;
+    };
+
+    void
+    serviceNext(std::size_t chan_idx)
+    {
+        Channel &ch = channels_[chan_idx];
+        while (!ch.queue.empty() && !ch.queue.front().live)
+            ch.queue.pop_front();
+        if (ch.queue.empty())
+            return;
+        std::size_t pick = 0;
+        bool hit = false;
+        for (std::size_t i = 0; i < ch.queue.size(); ++i) {
+            const Request &r = ch.queue[i];
+            if (r.live && ch.openRow[r.bank] == r.row) {
+                pick = i;
+                hit = true;
+                break;
+            }
+        }
+        Request req = std::move(ch.queue[pick]);
+        if (pick == 0)
+            ch.queue.pop_front();
+        else
+            ch.queue[pick].live = false;
+
+        Cycle latency = cfg_.burstCycles + (hit ? cfg_.rowHitLatency : cfg_.rowMissLatency);
+        if (hit)
+            ++rowHits_;
+        else
+            ++rowMisses_;
+        ch.openRow[req.bank] = req.row;
+        ch.busy = true;
+        eq_.scheduleIn(latency, [this, chan_idx, done = std::move(req.done)]() {
+            done();
+            Channel &c = channels_[chan_idx];
+            c.busy = false;
+            serviceNext(chan_idx);
+        });
+    }
+
+    DramConfig cfg_;
+    EventQueue &eq_;
+    Counter &rowHits_;
+    Counter &rowMisses_;
+    std::vector<Channel> channels_;
+};
+
+/** (read id, completion cycle) in completion order, then row hits and misses. */
+using DramLog = std::pair<std::vector<std::pair<std::size_t, Cycle>>,
+                          std::pair<std::uint64_t, std::uint64_t>>;
+
+template <typename Model>
+DramLog
+replayReads(const DramConfig &cfg, const std::vector<std::pair<Cycle, Addr>> &reads)
+{
+    EventQueue eq;
+    StatRegistry stats;
+    Model dram(cfg, eq, stats, "dram");
+    DramLog log;
+    auto &done = log.first;
+    for (std::size_t i = 0; i < reads.size(); ++i)
+        eq.schedule(reads[i].first, [&, i] {
+            dram.read(reads[i].second, [&done, &eq, i] { done.emplace_back(i, eq.now()); });
+        });
+    eq.run();
+    log.second = {dram.rowHits(), dram.rowMisses()};
+    return log;
+}
+
+TEST(DramDifferential, RingMatchesDequePickOrder)
+{
+    // Bursts of up to 96 reads within four cycles, mostly to one channel,
+    // queue far past the ring's first 16 slots (growth); the gaps drain
+    // it, so later bursts wrap around.  Forty hot lines per channel make
+    // row hits pick out of FIFO order (tombstones), and some addresses
+    // sit above 2^32 lines (the channel count's `%` fallback).
+    const DramConfig configs[] = {
+        DramConfig{.channels = 2, .banksPerChannel = 2, .rowBytes = 1024,
+                   .lineBytes = 128, .rowHitLatency = 10, .rowMissLatency = 50,
+                   .burstCycles = 4},
+        DramConfig{},
+    };
+    for (const DramConfig &cfg : configs) {
+        std::mt19937_64 rng(cfg.channels);
+        std::vector<std::pair<Cycle, Addr>> reads;
+        Cycle when = 0;
+        for (int burst = 0; burst < 60; ++burst) {
+            const std::size_t n = 1 + rng() % 96;
+            const Addr channel = rng() % cfg.channels;
+            for (std::size_t i = 0; i < n; ++i) {
+                const Addr line = (rng() % 40) * cfg.channels
+                    + (rng() % 4 == 0 ? rng() % cfg.channels : channel);
+                Addr addr = line * cfg.lineBytes;
+                if (rng() % 8 == 0)
+                    addr |= Addr{1} << 52;
+                reads.emplace_back(when + rng() % 4, addr);
+            }
+            when += 200 + rng() % 4000;
+        }
+        const DramLog ring = replayReads<Dram>(cfg, reads);
+        const DramLog deque = replayReads<DequeDram>(cfg, reads);
+        ASSERT_EQ(ring.first.size(), reads.size());
+        EXPECT_EQ(ring, deque) << cfg.channels << " channels";
+        EXPECT_GT(ring.second.first, reads.size() / 10) << "too few row hits";
+    }
 }
 
 } // namespace

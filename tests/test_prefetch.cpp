@@ -48,7 +48,13 @@ TEST(FaultBatcherTest, FillsFlushesInArrivalOrder)
     EXPECT_TRUE(b.push(30, false, 5)); // window full
     EXPECT_TRUE(b.full());
 
-    const auto batch = b.flush();
+    std::vector<prefetch::PendingFault> batch;
+    b.drain([&](const prefetch::PendingFault &pf) {
+        // The window is empty while its faults are serviced.
+        EXPECT_TRUE(b.empty());
+        EXPECT_FALSE(b.contains(pf.page));
+        batch.push_back(pf);
+    });
     ASSERT_EQ(batch.size(), 3u);
     EXPECT_EQ(batch[0].page, 10u);
     EXPECT_EQ(batch[1].page, 20u);
@@ -57,6 +63,27 @@ TEST(FaultBatcherTest, FillsFlushesInArrivalOrder)
     EXPECT_EQ(batch[2].arrival, 5u);
     EXPECT_TRUE(b.empty());
     EXPECT_FALSE(b.contains(10));
+}
+
+TEST(FaultBatcherTest, DrainCallbackMayRefillTheWindow)
+{
+    FaultBatcher b(2);
+    b.push(1);
+    b.push(2);
+    std::vector<PageId> seen;
+    b.drain([&](const prefetch::PendingFault &pf) {
+        seen.push_back(pf.page);
+        b.push(pf.page + 10); // a fault raised while the batch is serviced
+    });
+    EXPECT_EQ(seen, (std::vector<PageId>{1, 2}));
+    EXPECT_TRUE(b.full());
+    EXPECT_TRUE(b.contains(11));
+    EXPECT_TRUE(b.contains(12));
+    EXPECT_FALSE(b.contains(1));
+    seen.clear();
+    b.drain([&](const prefetch::PendingFault &pf) { seen.push_back(pf.page); });
+    EXPECT_EQ(seen, (std::vector<PageId>{11, 12}));
+    EXPECT_TRUE(b.empty());
 }
 
 TEST(FaultBatcherTest, DefaultWindowMirrorsHardwareFaultBuffer)
