@@ -73,9 +73,6 @@ struct DegradationConfig
      *  (the throttled eviction pump). */
     Cycle throttleCycles = microsToCycles(10.0);
 
-    /** inform() on every mode transition. */
-    bool logTransitions = false;
-
     /** fatal() on inconsistent parameters. */
     void
     validate() const
@@ -145,15 +142,11 @@ class ThrashingDetector
         if (!degraded_ && rate >= cfg_.enterRefaultRate) {
             degraded_ = true;
             ++entries_;
-            if (cfg_.logTransitions)
-                inform("degraded mode entered (refault rate {:.2f})", rate);
             return DegradationEvent::Entered;
         }
         if (degraded_ && rate <= cfg_.exitRefaultRate) {
             degraded_ = false;
             ++exits_;
-            if (cfg_.logTransitions)
-                inform("degraded mode exited (refault rate {:.2f})", rate);
             return DegradationEvent::Exited;
         }
         return DegradationEvent::None;

@@ -409,7 +409,6 @@ class UvmMemoryManager
     const ThrashingDetector *degradation() const { return detector_.get(); }
     bool degraded() const { return detector_ != nullptr && detector_->degraded(); }
     bool pinnedPage(PageId page) const { return pinned_.contains(page); }
-    std::size_t pinnedCount() const { return pinned_.size(); }
     /** @} */
 
     const PageTable &pageTable() const { return table_; }

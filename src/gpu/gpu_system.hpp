@@ -141,7 +141,6 @@ class GpuSystem
 
     /** @{ component access for tests */
     UvmMemoryManager &uvm() { return uvm_; }
-    EventQueue &eventQueue() { return eq_; }
     FaultInjector *injector() { return injector_.get(); }
     /** @} */
 

@@ -105,9 +105,6 @@ class HugePageCoalescer
     /** True if @p page is the head (logical page id) of a large page. */
     bool isLargeHead(PageId page) const { return largeSpan_.lookup(page) != 0; }
 
-    /** Span in subpages of the large page headed by @p head (0 if none). */
-    std::uint32_t spanOf(PageId head) const { return largeSpan_.lookup(head); }
-
     /**
      * The logical page standing for @p page in the policy and the TLBs:
      * the covering large page's head, or @p page itself.

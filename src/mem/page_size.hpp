@@ -63,15 +63,6 @@ struct PageSizeConfig
     /** True when any machinery must be attached at all. */
     bool active() const { return !largeOrders.empty(); }
 
-    /** Largest enabled span in subpages (1 when 4 KiB-only). */
-    std::uint32_t
-    maxSpan() const
-    {
-        return largeOrders.empty()
-                   ? 1u
-                   : std::uint32_t{1} << largeOrders.back();
-    }
-
     /** Canonical spelling, e.g. "4k", "4k,64k", "4k,64k,2m". */
     std::string
     spell() const

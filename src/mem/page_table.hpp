@@ -72,10 +72,10 @@ class PageTable
  * Multi-page-size runs additionally enable *run tracking*: a free-frame
  * bitmap beside the LIFO free list, so the huge-page coalescer can claim
  * aligned contiguous frame runs (allocateRun) and the fragmentation
- * gauges can count how many such runs remain (freeRunsOf) or histogram
- * the maximal free runs (freeRunHistogram).  With tracking off — the
- * default — allocate/release behave exactly as before (same frames in the
- * same order), which is part of the 4 KiB bit-exactness guarantee.
+ * gauges can count how many such runs remain (freeRunsOf).  With tracking
+ * off — the default — allocate/release behave exactly as before (same
+ * frames in the same order), which is part of the 4 KiB bit-exactness
+ * guarantee.
  */
 class FrameAllocator
 {
@@ -140,8 +140,8 @@ class FrameAllocator
 
     /**
      * Arm the free-frame bitmap (idempotent).  Required before
-     * allocateRun/freeRunsOf/freeRunHistogram; enabled by the coalescer,
-     * never on the default path.
+     * allocateRun/freeRunsOf; enabled by the coalescer, never on the
+     * default path.
      */
     void
     enableRunTracking()
@@ -188,38 +188,6 @@ class FrameAllocator
         for (FrameId base = 0; base + span <= capacity_; base += span)
             runs += runFree(base, span) ? 1 : 0;
         return runs;
-    }
-
-    /**
-     * Histogram of *maximal* free runs by floor-log2 length: bucket b
-     * counts runs of [2^b, 2^(b+1)) consecutive free frames.  O(capacity);
-     * meant for interval gauges and reports, not the fault path.
-     */
-    std::vector<std::size_t>
-    freeRunHistogram() const
-    {
-        HPE_ASSERT(runTracking(), "freeRunHistogram without run tracking");
-        std::vector<std::size_t> buckets;
-        std::size_t run = 0;
-        const auto flush = [&] {
-            if (run == 0)
-                return;
-            unsigned b = 0;
-            while ((std::size_t{2} << b) <= run)
-                ++b;
-            if (buckets.size() <= b)
-                buckets.resize(b + 1, 0);
-            ++buckets[b];
-            run = 0;
-        };
-        for (FrameId f = 0; f < capacity_; ++f) {
-            if (testFree(f))
-                ++run;
-            else
-                flush();
-        }
-        flush();
-        return buckets;
     }
 
   private:

@@ -18,7 +18,7 @@ hashPage(PageId page)
 MetaPolicy::MetaPolicy(const MetaConfig &cfg,
                        std::vector<MetaCandidate> candidates)
     : cfg_(cfg), candidates_(std::move(candidates)),
-      features_(cfg.setShift), shadows_(candidates_.size())
+      shadows_(candidates_.size())
 {
     cfg_.validate(candidates_.size());
     for (const MetaCandidate &c : candidates_) {
@@ -28,18 +28,17 @@ MetaPolicy::MetaPolicy(const MetaConfig &cfg,
                    "dueling candidate '{}' has no shadow instance", c.name);
     }
     if (cfg_.selector == SelectorKind::Duel)
-        selector_ = std::make_unique<DuelSelector>(
-            candidates_.size(), cfg_.pselMax, cfg_.switchMargin);
+        selector_ =
+            std::make_unique<DuelSelector>(candidates_.size(), cfg_.pselMax);
     else
-        selector_ = std::make_unique<BanditSelector>(
-            candidates_.size(), cfg_.seed, cfg_.epsilonInverse, cfg_.ucbC);
+        selector_ =
+            std::make_unique<BanditSelector>(candidates_.size(), cfg_.seed);
 }
 
 void
 MetaPolicy::onHit(PageId page)
 {
     ++refs_;
-    features_.onHit(page);
     shadowReference(page);
     for (MetaCandidate &c : candidates_)
         c.live->onHit(page);
@@ -50,7 +49,7 @@ void
 MetaPolicy::onFault(PageId page)
 {
     ++refs_;
-    features_.onFault(page);
+    ++intervalFaults_;
     shadowReference(page);
     for (MetaCandidate &c : candidates_)
         c.live->onFault(page);
@@ -66,7 +65,6 @@ MetaPolicy::selectVictim()
 void
 MetaPolicy::onEvict(PageId page)
 {
-    features_.onEvict(page);
     for (MetaCandidate &c : candidates_)
         c.live->onEvict(page);
     --liveResident_;
@@ -85,7 +83,7 @@ MetaPolicy::onPrefetchIn(PageId page)
 {
     // Speculative arrivals reach every candidate through its own
     // cold-tier handling; they are not demand references, so neither the
-    // feature pipeline nor the shadow simulations see them.
+    // interval fault count nor the shadow simulations see them.
     for (MetaCandidate &c : candidates_)
         c.live->onPrefetchIn(page);
     ++liveResident_;
@@ -171,13 +169,16 @@ MetaPolicy::maybeCloseInterval()
 {
     if (refs_ % cfg_.intervalRefs != 0)
         return;
-    const IntervalFeatures f = features_.endInterval();
-    ++intervalsClosed_;
-    const std::size_t next = selector_->decide(f, active_);
+    // Every interval closes at exactly intervalRefs demand references.
+    const double faultRate = static_cast<double>(intervalFaults_)
+                             / static_cast<double>(cfg_.intervalRefs);
+    intervalFaults_ = 0;
+    const std::uint64_t interval = intervalsClosed_++;
+    const std::size_t next = selector_->decide(faultRate, active_);
     if (next == active_)
         return;
     Decision d;
-    d.interval = f.index;
+    d.interval = interval;
     d.atRef = refs_;
     d.from = static_cast<std::uint32_t>(active_);
     d.to = static_cast<std::uint32_t>(next);

@@ -20,12 +20,12 @@
  *    counters compare — the honest generalization of DIP's leader sets,
  *    which measure each insertion policy on pages it actually governs.
  *
- *  - An online FeaturePipeline summarizes each interval (refault
- *    distances, page-set reuse, fault-run shape, fault rate) and feeds
- *    the pluggable Selector.  Every switch is appended to a replayable
- *    decision log and emitted as a policy_switch trace event, so adaptive
- *    behaviour is byte-pinned by the same golden digests as every other
- *    policy.
+ *  - At each interval boundary the pluggable Selector picks the next
+ *    active candidate: the duel from its shadow-fault counters, the
+ *    bandit from the closed interval's demand fault rate.  Every switch
+ *    is appended to a replayable decision log and emitted as a
+ *    policy_switch trace event, so adaptive behaviour is byte-pinned by
+ *    the same golden digests as every other policy.
  */
 
 #pragma once
@@ -37,7 +37,6 @@
 #include "common/stats.hpp"
 #include "mem/page_index.hpp"
 #include "policy/eviction_policy.hpp"
-#include "policy/meta/features.hpp"
 #include "policy/meta/selectors.hpp"
 
 namespace hpe::meta {
@@ -60,23 +59,8 @@ struct MetaConfig
     std::uint32_t leaderFraction = 8;
     /** Duel counter saturation ceiling. */
     std::uint32_t pselMax = 1024;
-    /**
-     * Shadow-fault lead required to unseat the incumbent (duel).  Zero
-     * keeps the duel maximally responsive; raise it if shadow groups are
-     * noisy enough that one-fault wobbles flip the active policy — but
-     * note that on the MX* co-run schedules hysteresis measurably hurts,
-     * because the early flips it suppresses are exactly how the duel
-     * escapes a candidate whose stable set never formed.
-     */
-    std::uint32_t switchMargin = 0;
-    /** Bandit: explore on average 1-in-N intervals (0 = never). */
-    std::uint32_t epsilonInverse = 16;
-    /** Bandit: UCB exploration-bonus weight. */
-    double ucbC = 0.5;
     /** Bandit exploration seed. */
     std::uint64_t seed = 1;
-    /** log2 of the page-set size the feature pipeline aggregates at. */
-    unsigned setShift = 4;
 
     /** Validate invariants for @p candidates hosted policies. */
     void
@@ -88,7 +72,6 @@ struct MetaConfig
                    "leader fraction {} cannot seat {} leader groups",
                    leaderFraction, candidates);
         HPE_ASSERT(pselMax >= 2, "psel ceiling must be at least 2");
-        HPE_ASSERT(ucbC >= 0.0, "UCB weight must be non-negative");
     }
 };
 
@@ -152,8 +135,6 @@ class MetaPolicy : public EvictionPolicy
         return candidates_[active_].name;
     }
 
-    std::size_t candidateCount() const { return candidates_.size(); }
-
     /** Hosted candidate names, in index order. */
     std::vector<std::string> candidateNames() const;
 
@@ -182,10 +163,10 @@ class MetaPolicy : public EvictionPolicy
     MetaConfig cfg_;
     std::vector<MetaCandidate> candidates_;
     std::unique_ptr<Selector> selector_;
-    FeaturePipeline features_;
     std::vector<Shadow> shadows_;
     std::size_t active_ = 0;
     std::uint64_t refs_ = 0;          ///< demand references (hits + faults)
+    std::uint64_t intervalFaults_ = 0; ///< demand faults of the open interval
     std::size_t liveResident_ = 0;    ///< true resident-set size
     std::uint64_t intervalsClosed_ = 0;
     std::vector<Decision> decisions_;

@@ -11,8 +11,9 @@
  *    a *leader group* of pages (by address hash) that is replayed through
  *    a sampled shadow simulation of that candidate; shadow faults feed a
  *    per-candidate saturating counter (the PSEL generalization), and the
- *    candidate with the fewest charged faults wins the next interval.
- *    Counters halve at each boundary so stale phases age out.
+ *    candidate with the fewest charged faults wins the next interval if
+ *    it has strictly fewer than the active one.  Counters halve at each
+ *    boundary so stale phases age out.
  *
  *  - BanditSelector — a seeded epsilon-greedy/UCB bandit whose arms are
  *    the candidates and whose reward is (1 - interval fault rate) of the
@@ -32,7 +33,6 @@
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "policy/meta/features.hpp"
 #include "trace/events.hpp"
 
 namespace hpe::meta {
@@ -47,11 +47,11 @@ class Selector
     virtual void onShadowFault(std::size_t candidate) { (void)candidate; }
 
     /**
-     * Close an interval: absorb @p f (produced while @p active ran) and
-     * return the candidate for the next interval (possibly @p active).
+     * Close an interval whose demand references faulted at rate
+     * @p faultRate while @p active ran, and return the candidate for the
+     * next interval (possibly @p active).
      */
-    virtual std::size_t decide(const IntervalFeatures &f,
-                               std::size_t active) = 0;
+    virtual std::size_t decide(double faultRate, std::size_t active) = 0;
 
     /** Current score of @p candidate, as a stable integer for the
      *  decision log (lower is better for duel, higher for bandit). */
@@ -66,14 +66,11 @@ class DuelSelector : public Selector
 {
   public:
     /**
-     * @param candidates   number of hosted candidates.
-     * @param pselMax      counter saturation ceiling.
-     * @param switchMargin lead (in charged faults) a challenger needs
-     *                     over the active candidate before a switch.
+     * @param candidates number of hosted candidates.
+     * @param pselMax    counter saturation ceiling.
      */
-    DuelSelector(std::size_t candidates, std::uint32_t pselMax,
-                 std::uint32_t switchMargin)
-        : pselMax_(pselMax), margin_(switchMargin), counters_(candidates, 0)
+    DuelSelector(std::size_t candidates, std::uint32_t pselMax)
+        : pselMax_(pselMax), counters_(candidates, 0)
     {
         HPE_ASSERT(candidates >= 2, "dueling needs at least two candidates");
         HPE_ASSERT(pselMax >= 2, "psel ceiling must be at least 2");
@@ -87,19 +84,17 @@ class DuelSelector : public Selector
     }
 
     std::size_t
-    decide(const IntervalFeatures &, std::size_t active) override
+    decide(double, std::size_t active) override
     {
         // Lowest counter wins (lowest index on ties); the incumbent is
-        // only unseated by a challenger leading by more than the margin,
-        // so the decision is total-order deterministic and hysteretic.
+        // only unseated by a strictly lower counter, so the decision is
+        // total-order deterministic and a tie keeps the active candidate.
         std::size_t best = 0;
         for (std::size_t i = 1; i < counters_.size(); ++i)
             if (counters_[i] < counters_[best])
                 best = i;
         const std::size_t next =
-            best != active && counters_[best] + margin_ < counters_[active]
-                ? best
-                : active;
+            counters_[best] < counters_[active] ? best : active;
         // Halve-decay: recent shadow faults dominate, old phases age out.
         for (std::uint32_t &c : counters_)
             c /= 2;
@@ -115,7 +110,6 @@ class DuelSelector : public Selector
 
   private:
     std::uint32_t pselMax_;
-    std::uint32_t margin_;
     std::vector<std::uint32_t> counters_;
 };
 
@@ -124,25 +118,21 @@ class BanditSelector : public Selector
 {
   public:
     /**
-     * @param candidates     number of arms.
-     * @param seed           exploration RNG seed.
-     * @param epsilonInverse explore on average 1-in-N intervals (0 = never).
-     * @param ucbC           UCB exploration-bonus weight (0 = greedy).
+     * @param candidates number of arms.
+     * @param seed       exploration RNG seed.
      */
-    BanditSelector(std::size_t candidates, std::uint64_t seed,
-                   std::uint32_t epsilonInverse, double ucbC)
-        : epsilonInverse_(epsilonInverse), ucbC_(ucbC), rng_(seed),
-          arms_(candidates)
+    BanditSelector(std::size_t candidates, std::uint64_t seed)
+        : rng_(seed), arms_(candidates)
     {
         HPE_ASSERT(candidates >= 2, "bandit needs at least two arms");
     }
 
     std::size_t
-    decide(const IntervalFeatures &f, std::size_t active) override
+    decide(double faultRate, std::size_t active) override
     {
         // The interval ran under `active`: that arm earns the reward.
         Arm &arm = arms_[active];
-        const double reward = 1.0 - f.faultRate;
+        const double reward = 1.0 - faultRate;
         ++arm.pulls;
         ++totalPulls_;
         arm.meanReward += (reward - arm.meanReward)
@@ -153,7 +143,7 @@ class BanditSelector : public Selector
             if (arms_[i].pulls == 0)
                 return i;
         // Epsilon exploration from the seeded stream.
-        if (epsilonInverse_ > 0 && rng_.below(epsilonInverse_) == 0)
+        if (rng_.below(kEpsilonInverse) == 0)
             return static_cast<std::size_t>(rng_.below(arms_.size()));
         // UCB1 exploitation: mean + c*sqrt(ln(total)/pulls).
         std::size_t best = 0;
@@ -180,6 +170,11 @@ class BanditSelector : public Selector
     }
 
   private:
+    /** Explore on average 1-in-kEpsilonInverse intervals. */
+    static constexpr std::uint32_t kEpsilonInverse = 16;
+    /** UCB exploration-bonus weight. */
+    static constexpr double kUcbC = 0.5;
+
     struct Arm
     {
         std::uint64_t pulls = 0;
@@ -191,13 +186,11 @@ class BanditSelector : public Selector
     {
         const Arm &arm = arms_[i];
         return arm.meanReward
-               + ucbC_
+               + kUcbC
                      * std::sqrt(std::log(static_cast<double>(totalPulls_))
                                  / static_cast<double>(arm.pulls));
     }
 
-    std::uint32_t epsilonInverse_;
-    double ucbC_;
     Rng rng_;
     std::vector<Arm> arms_;
     std::uint64_t totalPulls_ = 0;

@@ -185,8 +185,6 @@ class Server
     {
         return static_cast<ShedMode>(shedMode_.load());
     }
-    /** Times the shed mode changed (any direction). */
-    std::uint64_t shedTransitions() const { return shedTransitions_.load(); }
 
   private:
     using Clock = std::chrono::steady_clock;

@@ -50,7 +50,6 @@ makeMetaPolicy(meta::SelectorKind selector, const Trace &trace,
     meta::MetaConfig cfg;
     cfg.selector = selector;
     cfg.seed = seed;
-    cfg.setShift = 4; // match HpeConfig's default 16-page sets
     return std::make_unique<meta::MetaPolicy>(cfg, std::move(candidates));
 }
 

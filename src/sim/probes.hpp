@@ -17,8 +17,8 @@
  *
  * DIP additionally exposes its duel selector (dip.psel gauge), and the
  * adaptive meta-policy its active candidate index + cumulative switch
- * count (meta_active, meta_switches gauges) — the observability the
- * feature-pipeline tests and the tournament leaderboard read.
+ * count (meta_active, meta_switches gauges) — the columns the meta-policy
+ * tests and the KMN_MetaDuel golden cell read.
  */
 
 #pragma once

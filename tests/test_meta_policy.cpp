@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the adaptive meta-policy: feature pipeline, duel and bandit
- * selectors, resident-set mirroring under the StateValidator contract,
- * config validation, and end-to-end determinism through the api funnel.
+ * Tests for the adaptive meta-policy: duel and bandit selectors, the
+ * bandit's interval fault rate, resident-set mirroring under the
+ * StateValidator contract, config validation, and end-to-end determinism
+ * through the api funnel.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +19,6 @@
 #include "policy/dip.hpp"
 #include "policy/fifo.hpp"
 #include "policy/lru.hpp"
-#include "policy/meta/features.hpp"
 #include "policy/meta/meta_policy.hpp"
 #include "policy/rrip.hpp"
 #include "sim/policy_factory.hpp"
@@ -101,40 +101,6 @@ twoPhaseTrace(std::size_t big, unsigned bigPasses, std::size_t hot,
     return refs;
 }
 
-TEST(FeaturePipeline, SummarizesOneInterval)
-{
-    meta::FeaturePipeline fp(/*setShift=*/2);
-    // Pages 0..3 fault (one 4-page set), page 0 hits twice, page 1 hits.
-    for (PageId p = 0; p < 4; ++p)
-        fp.onFault(p);
-    fp.onHit(0);
-    fp.onHit(0);
-    fp.onHit(1);
-    const meta::IntervalFeatures f = fp.endInterval();
-    EXPECT_EQ(f.index, 0u);
-    EXPECT_EQ(f.refs, 7u);
-    EXPECT_EQ(f.faults, 4u);
-    EXPECT_EQ(f.hits, 3u);
-    EXPECT_EQ(f.refaults, 0u);
-    EXPECT_DOUBLE_EQ(f.faultRate, 4.0 / 7.0);
-    EXPECT_EQ(f.maxFaultRun, 4u);
-    EXPECT_EQ(f.distinctSets, 1u);
-}
-
-TEST(FeaturePipeline, TracksRefaultDistance)
-{
-    meta::FeaturePipeline fp;
-    fp.onFault(7);
-    fp.onEvict(7); // evicted at ref 1
-    fp.onHit(1);
-    fp.onHit(2);
-    fp.onFault(7); // refault, distance 2 -> log2 bucket 1
-    const meta::IntervalFeatures f = fp.endInterval();
-    EXPECT_EQ(f.refaults, 1u);
-    EXPECT_EQ(f.refaultDistanceLog2[1], 1u);
-    EXPECT_GT(f.meanRefaultDistanceLog2, 0.0);
-}
-
 TEST(MetaDuel, ConvergesToRripUnderThrashThenBackToLru)
 {
     MetaConfig cfg;
@@ -199,6 +165,59 @@ TEST(MetaBandit, EqualSeedsGiveEqualDecisionLogs)
     ASSERT_GE(a.decisions().size(), 2u);
     EXPECT_EQ(a.decisions()[0].to, 1u);
     EXPECT_EQ(a.decisions()[1].to, 2u);
+}
+
+TEST(MetaBandit, ColdStartDecisionsCarryIntervalFaultRates)
+{
+    // The bandit's reward is 1 - the demand fault rate of the interval
+    // that just closed.  Cold start pulls arms 0, 1, 2 in order, so the
+    // first two decisions record the mean reward of arms 0 and 1, each
+    // from exactly one interval.  Interval 0 loops over 8 pages and
+    // interval 1 over 24 new ones: a fault count not reset at the
+    // boundary, or a rate over all references so far, moves decision 1.
+    std::vector<MetaCandidate> cands;
+    cands.push_back(candidate("LRU", std::make_unique<LruPolicy>()));
+    cands.push_back(candidate("FIFO", std::make_unique<FifoPolicy>()));
+    cands.push_back(candidate("CLOCK", std::make_unique<ClockPolicy>()));
+    MetaConfig cfg;
+    cfg.selector = SelectorKind::Bandit;
+    cfg.intervalRefs = 64;
+    MetaPolicy policy(cfg, std::move(cands));
+
+    std::vector<PageId> refs;
+    for (PageId i = 0; i < 64; ++i)
+        refs.push_back(i % 8);
+    for (PageId i = 0; i < 64; ++i)
+        refs.push_back(100 + i % 24);
+    // Memory never fills, so every fault is a cold miss.
+    std::unordered_set<PageId> resident;
+    std::uint64_t faults[2] = {0, 0};
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+        const PageId p = refs[i];
+        if (resident.contains(p)) {
+            policy.onHit(p);
+            continue;
+        }
+        ++faults[i / cfg.intervalRefs];
+        policy.onFault(p);
+        resident.insert(p);
+        policy.onMigrateIn(p);
+    }
+    ASSERT_NE(faults[0], faults[1]);
+
+    ASSERT_EQ(policy.decisions().size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k) {
+        const MetaPolicy::Decision &d = policy.decisions()[k];
+        EXPECT_EQ(d.interval, k);
+        EXPECT_EQ(d.atRef, 64u * (k + 1));
+        EXPECT_EQ(d.from, k);
+        EXPECT_EQ(d.to, k + 1);
+        EXPECT_EQ(d.metricFrom,
+                  static_cast<std::uint64_t>(
+                      (1.0 - static_cast<double>(faults[k]) / 64.0) * 1e6))
+            << "decision " << k;
+        EXPECT_EQ(d.metricTo, 0u); // the next arm has not run yet
+    }
 }
 
 TEST(MetaPolicy, TrackedResidencyMatchesDriverAcross200Trials)
