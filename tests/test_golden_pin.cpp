@@ -56,15 +56,19 @@ readFile(const std::string &path)
  * interval CSV routed to stdout after the digest line; the output starts
  * with digest-line + CSV — the concatenation of the two golden files —
  * followed by the human-readable run report (not golden-pinned).
+ * @p functional false runs a timing cell (CELL_TIMING=1 in the script).
  */
 std::string
-runCell(const std::vector<const char *> &extra, const char *scale = "0.1")
+runCell(const std::vector<const char *> &extra, const char *scale = "0.1",
+        bool functional = true)
 {
     std::vector<const char *> argv = {
-        "hpe_sim", "run",        "--functional", "--scale",  scale,
+        "hpe_sim", "run",        "--scale",  scale,
         "--seed",  "1",          "--trace-digest", "--interval-stats", "-",
         "--interval", "500",
     };
+    if (functional)
+        argv.push_back("--functional");
     argv.insert(argv.end(), extra.begin(), extra.end());
     const cli::Args args =
         cli::Args::parse(static_cast<int>(argv.size()), argv.data());
@@ -171,6 +175,32 @@ TEST(GoldenPin, HugePageCoalescingCellsAreByteIdentical)
                      "--page-sizes", "4k,2m", "--coalesce"},
                     /*scale=*/"1.0");
         expectPinned(got, expected, "STN_LRU_2m");
+    }
+}
+
+TEST(GoldenPin, MultiLevelWalkerTimingCellsAreByteIdentical)
+{
+    // The multi-level walker runs in timing mode only, where its walk
+    // latencies move the digest: MXR thrashes over six leaf nodes, and
+    // the KMN cell remaps pages under the walker through the coalescer.
+    {
+        const std::string expected = readFile(goldenPath("MXR_HPE_ml.digest"))
+            + readFile(goldenPath("MXR_HPE_ml.intervals.csv"));
+        const std::string got =
+            runCell({"--app", "MXR", "--policy", "HPE", "--multi-level-walker",
+                     "--oversub", "0.5"},
+                    /*scale=*/"0.5", /*functional=*/false);
+        expectPinned(got, expected, "MXR_HPE_ml");
+    }
+    {
+        const std::string expected =
+            readFile(goldenPath("KMN_HPE_64k_ml.digest"))
+            + readFile(goldenPath("KMN_HPE_64k_ml.intervals.csv"));
+        const std::string got =
+            runCell({"--app", "KMN", "--policy", "HPE", "--multi-level-walker",
+                     "--page-sizes", "4k,64k", "--coalesce"},
+                    /*scale=*/"0.1", /*functional=*/false);
+        expectPinned(got, expected, "KMN_HPE_64k_ml");
     }
 }
 

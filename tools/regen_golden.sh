@@ -8,7 +8,8 @@
 #
 # and commit the result. Each (app, policy) cell is a functional run at
 # --scale 0.1 --seed 1: small enough for CI, big enough to exercise
-# faults, evictions, chain ops and HIR transitions.
+# faults, evictions, chain ops and HIR transitions.  Two timing cells
+# pin the multi-level page walker, which runs in timing mode only.
 #
 # Usage:
 #   tools/regen_golden.sh [--check] [HPE_SIM_BINARY]
@@ -56,9 +57,12 @@ run_cell() {
     local stem="$1"
     shift
     # CELL_SCALE overrides the default scale for cells whose frame pool
-    # must fit a large page class (a 2 MiB page spans 512 frames).
+    # must fit a large page class (a 2 MiB page spans 512 frames), and
+    # CELL_TIMING=1 runs the cell in timing mode instead of functional.
     local scale="${CELL_SCALE:-$SCALE}"
-    "$BIN" run "$@" --functional \
+    local mode=--functional
+    [[ "${CELL_TIMING:-0}" == 1 ]] && mode=
+    "$BIN" run "$@" $mode \
         --scale "$scale" --seed "$SEED" \
         --trace-digest \
         --interval-stats "$OUT/$stem.intervals.csv" \
@@ -96,8 +100,17 @@ run_cell "KMN_HPE_64k" --app KMN --policy HPE \
     --page-sizes 4k,64k --coalesce
 CELL_SCALE=1.0 run_cell "STN_LRU_2m" --app STN --policy LRU \
     --oversub 0.85 --page-sizes 4k,2m --coalesce
+# Two multi-level walker cells, in timing mode: the walk latency moves
+# the timing digest, so they pin what each walk pays per level.  MXR
+# thrashes over six 512-page leaf nodes at 50 % oversubscription; the
+# KMN cell adds the coalescer, whose remap promotions change mappings
+# under the walker.
+CELL_TIMING=1 CELL_SCALE=0.5 run_cell "MXR_HPE_ml" --app MXR --policy HPE \
+    --multi-level-walker --oversub 0.5
+CELL_TIMING=1 run_cell "KMN_HPE_64k_ml" --app KMN --policy HPE \
+    --multi-level-walker --page-sizes 4k,64k --coalesce
 
-CELLS=$(( ${#APPS[@]} * ${#POLICIES[@]} + 4 ))
+CELLS=$(( ${#APPS[@]} * ${#POLICIES[@]} + 6 ))
 if [[ "$CHECK" == 1 ]]; then
     if [[ "$status" == 0 ]]; then
         echo "golden traces: all $CELLS cells match"
