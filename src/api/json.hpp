@@ -55,7 +55,6 @@ class Value
     Value(Object o) : kind_(Kind::Object), object_(std::move(o)) {}
 
     Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
     bool isBool() const { return kind_ == Kind::Bool; }
     bool isString() const { return kind_ == Kind::String; }
     bool isArray() const { return kind_ == Kind::Array; }

@@ -24,7 +24,10 @@
  *     tag claims, and HIR occupancy respects the configured geometry;
  *  6. page-size invariants: every large page is naturally aligned, fully
  *     resident, non-overlapping, mapped to an aligned contiguous frame
- *     run, and the coalescer's covered-page accounting matches.
+ *     run, and the coalescer's covered-page accounting matches;
+ *  7. region counts: for every order armed on the page table (coalescer
+ *     size classes, multi-level walker node spans), each region's count
+ *     equals its number of mapped pages, and no empty region keeps one.
  *
  * Attach via UvmMemoryManager::setValidateHook; tests keep it always on,
  * the CLI arms it behind --validate (it walks the full resident set per
@@ -72,6 +75,7 @@ class StateValidator
             checkHpe(*hpe);
         if (uvm_.coalescer() != nullptr)
             checkPageSizes(*uvm_.coalescer());
+        checkRegionCounts();
     }
 
   private:
@@ -194,6 +198,30 @@ class StateValidator
         if (covered > uvm_.residentPages())
             fail(strformat("coalescer covers {} pages with only {} resident",
                            covered, uvm_.residentPages()));
+    }
+
+    void
+    checkRegionCounts() const
+    {
+        const PageTable &table = uvm_.pageTable();
+        for (const DenseRegionCounter &counter : table.regionCounters()) {
+            const unsigned order = counter.order();
+            DenseRegionCounter mapped(order);
+            table.forEach([&](PageId page, FrameId) { mapped.increment(page); });
+            counter.forEach([&](PageId region, std::uint32_t count) {
+                const std::uint32_t want = mapped.count(region << order);
+                if (count != want)
+                    fail(strformat("order-{} region {:#x} counts {} pages, "
+                                   "{} are mapped", order, region, count,
+                                   want));
+            });
+            // Every counted region matched and none is counted at zero,
+            // so equal region totals leave no mapped region uncounted.
+            if (counter.size() != mapped.size())
+                fail(strformat("order-{} counts cover {} regions, {} hold "
+                               "mapped pages", order, counter.size(),
+                               mapped.size()));
+        }
     }
 
     void

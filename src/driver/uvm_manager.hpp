@@ -42,7 +42,6 @@
 #include "mem/page_index.hpp"
 #include "mem/page_size.hpp"
 #include "mem/page_table.hpp"
-#include "mem/radix_page_table.hpp"
 #include "policy/eviction_policy.hpp"
 #include "prefetch/prefetcher.hpp"
 #include "trace/trace_sink.hpp"
@@ -187,8 +186,6 @@ class UvmMemoryManager
                 ++*pinnedVictimOverrides_;
             }
             frames_.release(table_.unmap(victim));
-            if (radixMirror_ != nullptr)
-                radixMirror_->unmap(victim);
             if (coalescer_ != nullptr)
                 coalescer_->onUnmap(victim);
             policy_.onEvict(victim);
@@ -211,8 +208,6 @@ class UvmMemoryManager
         }
         out.frame = frames_.allocate();
         table_.map(page, out.frame);
-        if (radixMirror_ != nullptr)
-            radixMirror_->map(page, out.frame);
         if (sink_ != nullptr)
             sink_->emit(trace::EventKind::Migration, 0, page, 0);
         policy_.onMigrateIn(page);
@@ -260,8 +255,6 @@ class UvmMemoryManager
             return PrefetchOutcome::NoFreeFrame;
         const FrameId frame = frames_.allocate();
         table_.map(page, frame);
-        if (radixMirror_ != nullptr)
-            radixMirror_->map(page, frame);
         if (sink_ != nullptr)
             sink_->emit(trace::EventKind::Migration, 1, page, 0);
         policy_.onPrefetchIn(page);
@@ -324,21 +317,6 @@ class UvmMemoryManager
     /** Prefetch candidates that already had a pending demand fault. */
     std::uint64_t prefetchLate() const { return prefetchLate_.value(); }
 
-    /**
-     * Mirror every mapping change into @p radix (the multi-level walker's
-     * table); pass nullptr to stop mirroring.  The mirror must be empty
-     * (or consistent) when attached.
-     */
-    void
-    setRadixMirror(RadixPageTable *radix)
-    {
-        HPE_ASSERT(radix == nullptr || radix->size() == table_.size(),
-                   "radix mirror out of sync at attach");
-        radixMirror_ = radix;
-        if (coalescer_ != nullptr)
-            coalescer_->setRadixMirror(radix);
-    }
-
     void setEvictHook(EvictHook hook) { evictHook_ = std::move(hook); }
 
     /** Run @p hook after every fault service and prefetch. */
@@ -377,7 +355,6 @@ class UvmMemoryManager
         coalescer_ = std::make_unique<HugePageCoalescer>(
             cfg, table_, frames_, policy_, stats_, name_ + ".coalesce");
         coalescer_->setTraceSink(sink_);
-        coalescer_->setRadixMirror(radixMirror_);
         coalescer_->setShootdownHook(
             [this](PageId page) {
                 if (evictHook_)
@@ -405,10 +382,9 @@ class UvmMemoryManager
             &stats_.counter(name_ + ".degraded.pinnedVictimOverrides");
     }
 
-    /** @{ degradation introspection (null/empty when not enabled) */
+    /** @{ degradation introspection (null/false when not enabled) */
     const ThrashingDetector *degradation() const { return detector_.get(); }
     bool degraded() const { return detector_ != nullptr && detector_->degraded(); }
-    bool pinnedPage(PageId page) const { return pinned_.contains(page); }
     /** @} */
 
     const PageTable &pageTable() const { return table_; }
@@ -469,7 +445,6 @@ class UvmMemoryManager
     std::string name_;
     EvictHook evictHook_;
     ValidateHook validateHook_;
-    RadixPageTable *radixMirror_ = nullptr;
     trace::TraceSink *sink_ = nullptr;
     /** Multi-page-size machinery (allocated by enablePageSizes only). */
     std::unique_ptr<HugePageCoalescer> coalescer_;

@@ -28,10 +28,8 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, const Trace &trace,
         walker_ = std::make_unique<FixedLatencyWalker>(
             uvm_.pageTable(), cfg_.walkLatency, stats, "gpu.walker");
     } else {
-        radixTable_ = std::make_unique<RadixPageTable>(cfg_.radix);
-        uvm_.setRadixMirror(radixTable_.get());
-        walker_ = std::make_unique<MultiLevelWalker>(*radixTable_, cfg_.mlWalker,
-                                                     stats, "gpu.walker");
+        walker_ = std::make_unique<MultiLevelWalker>(uvm_.pageTable(), stats,
+                                                     "gpu.walker");
     }
     l2d_ = std::make_unique<DataCache>(cfg_.l2d, stats, "gpu.l2d");
     dram_ = std::make_unique<Dram>(cfg_.dram, eq_, stats, "gpu.dram");
@@ -52,8 +50,7 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, const Trace &trace,
     uvm_.setEvictHook([this](PageId page) { onEvictPage(page); });
 
     // Multi-page-size axis: the coalescer attaches behind the fault path
-    // (after the radix mirror, so remap promotions keep it in sync) and
-    // remap shootdowns flow through the same evict hook as evictions.
+    // and remap shootdowns flow through the same evict hook as evictions.
     if (cfg_.pageSizes.active())
         uvm_.enablePageSizes(cfg_.pageSizes);
 

@@ -33,7 +33,6 @@
 #include "mem/data_cache.hpp"
 #include "mem/dram.hpp"
 #include "mem/page_size.hpp"
-#include "mem/radix_page_table.hpp"
 #include "policy/eviction_policy.hpp"
 #include "tlb/multi_level_walker.hpp"
 #include "tlb/tlb.hpp"
@@ -49,7 +48,7 @@ enum class WalkerMode
 {
     /** The paper's simplification: single level, fixed latency. */
     FixedLatency,
-    /** Four-level radix table with a shared page walk cache. */
+    /** Four-level radix walk with a shared page walk cache. */
     MultiLevel,
 };
 
@@ -72,8 +71,6 @@ struct GpuConfig
     TlbConfig l2Tlb = l2TlbConfig();
     WalkerMode walkerMode = WalkerMode::FixedLatency;
     Cycle walkLatency = 8; ///< FixedLatency mode (paper: 8; sensitivity: 20)
-    MultiLevelWalkerConfig mlWalker{};
-    RadixConfig radix{};
 
     DataCacheConfig l1d{.sizeBytes = 16 * 1024, .ways = 4, .lineBytes = 128,
                         .hitLatency = 1};
@@ -200,8 +197,6 @@ class GpuSystem
     std::vector<Sm> sms_;
     std::unique_ptr<Tlb> l2Tlb_;
     std::unique_ptr<WalkerBase> walker_;
-    /** Radix mirror of the page table (MultiLevel walker mode only). */
-    std::unique_ptr<RadixPageTable> radixTable_;
     std::unique_ptr<DataCache> l2d_;
     std::unique_ptr<Dram> dram_;
 

@@ -31,17 +31,20 @@
  *    pressure breaks large pages apart before it frees memory, which
  *    keeps the single-victim fault protocol intact.
  *
+ * Region residency is the page table's: the coalescer arms one region
+ * order per size class (PageTable::trackRegions) and a region is full
+ * when its count reaches the span.
+ *
  * With PageSizeConfig::coalesce false the coalescer is observe-only: it
- * tracks region residency and fragmentation gauges but never changes a
- * mapping, which is the configuration the differential property suite
- * proves byte-identical to the 4 KiB baseline.
+ * feeds the fragmentation gauges but never changes a mapping, which is
+ * the configuration the differential property suite proves
+ * byte-identical to the 4 KiB baseline.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,7 +54,6 @@
 #include "mem/page_index.hpp"
 #include "mem/page_size.hpp"
 #include "mem/page_table.hpp"
-#include "mem/radix_page_table.hpp"
 #include "policy/eviction_policy.hpp"
 #include "trace/trace_sink.hpp"
 
@@ -67,7 +69,9 @@ class HugePageCoalescer
 
     /**
      * @param cfg    enabled size classes; must be active().
-     * @param table  the GPU page table (per-4 KiB leaves, shared).
+     * @param table  the GPU page table (per-4 KiB leaves, shared); must
+     *               hold no mapping yet, since each size class arms its
+     *               region order on it.
      * @param frames frame pool; run tracking must already be enabled.
      * @param policy eviction policy seeing logical pages.
      * @param stats  registry receiving "<name>.*".
@@ -91,13 +95,13 @@ class HugePageCoalescer
         // Largest class first: promotion checks prefer the biggest page
         // a newly-full region can form.
         for (auto it = cfg.largeOrders.rbegin(); it != cfg.largeOrders.rend();
-             ++it)
-            classes_.push_back(SizeClass{*it, std::uint32_t{1} << *it,
-                                         std::make_unique<DenseRegionCounter>(*it)});
+             ++it) {
+            table.trackRegions(*it);
+            classes_.push_back(SizeClass{*it, std::uint32_t{1} << *it});
+        }
     }
 
     void setTraceSink(trace::TraceSink *sink) { sink_ = sink; }
-    void setRadixMirror(RadixPageTable *radix) { radixMirror_ = radix; }
     void setShootdownHook(ShootdownHook hook) { shootdown_ = std::move(hook); }
 
     const PageSizeConfig &config() const { return cfg_; }
@@ -144,19 +148,16 @@ class HugePageCoalescer
 
     /**
      * A 4 KiB page became resident (fault or prefetch; the policy has
-     * already been told).  Updates region residency and, with coalescing
-     * on, attempts the largest promotion the newly-full regions allow.
+     * already been told).  With coalescing on, attempts the largest
+     * promotion the newly-full regions allow.
      */
     void
     onMap(PageId page)
     {
-        bool full = false;
-        for (const SizeClass &c : classes_)
-            full |= c.resident->increment(page) == c.span;
-        if (!cfg_.coalesce || !full)
+        if (!cfg_.coalesce)
             return;
         for (const SizeClass &c : classes_) {
-            if (c.resident->count(page) != c.span)
+            if (table_.regionCount(page, c.order) != c.span)
                 continue;
             const PageId head = page & ~static_cast<PageId>(c.span - 1);
             // Already covered by an equal-or-larger page? Nothing to do.
@@ -170,17 +171,15 @@ class HugePageCoalescer
     }
 
     /**
-     * The (4 KiB, uncovered) page @p page is being evicted; update region
-     * residency.  The driver calls beforeEvict() first, so a large page
-     * can never lose a subpage without splintering.
+     * The (4 KiB, uncovered) page @p page was evicted.  The driver calls
+     * beforeEvict() first, so a large page can never lose a subpage
+     * without splintering.
      */
     void
     onUnmap(PageId page)
     {
         HPE_ASSERT(logicalPageOf(page) == page && !isLargeHead(page),
                    "unmap of covered page {:#x} without splinter", page);
-        for (const SizeClass &c : classes_)
-            c.resident->decrement(page);
     }
 
     /**
@@ -202,7 +201,6 @@ class HugePageCoalescer
     {
         unsigned order;
         std::uint32_t span;
-        std::unique_ptr<DenseRegionCounter> resident;
     };
 
     /**
@@ -232,14 +230,11 @@ class HugePageCoalescer
             // Remap every subpage into the claimed run.  The data move is
             // GPU-local (no PCIe) and modelled as free, as in Mosaic; the
             // translation change still costs shootdowns in timing mode.
+            // The unmap/map pair leaves the region counts as they were.
             for (std::uint32_t i = 0; i < span; ++i) {
                 const PageId p = head + i;
                 const FrameId old = table_.unmap(p);
                 table_.map(p, *base + i);
-                if (radixMirror_ != nullptr) {
-                    radixMirror_->unmap(p);
-                    radixMirror_->map(p, *base + i);
-                }
                 frames_.release(old);
                 ++remappedPages_;
                 if (shootdown_)
@@ -289,7 +284,7 @@ class HugePageCoalescer
             sink_->emit(trace::EventKind::Splinter, 0, head, span);
         // Non-head subpages re-enter the policy cold; their individual
         // recency was folded into the head while coalesced.  Region
-        // residency is unchanged — the pages are still mapped.
+        // counts are unchanged — the pages are still mapped.
         for (std::uint32_t i = 1; i < span; ++i)
             policy_.onPrefetchIn(head + i);
     }
@@ -298,7 +293,6 @@ class HugePageCoalescer
     PageTable &table_;
     FrameAllocator &frames_;
     EvictionPolicy &policy_;
-    RadixPageTable *radixMirror_ = nullptr;
     trace::TraceSink *sink_ = nullptr;
     ShootdownHook shootdown_;
 

@@ -264,10 +264,11 @@ class DensePageSet
 };
 
 /**
- * Per-region residency counter for the huge-page coalescer: counts how
- * many 4 KiB pages are resident in each naturally-aligned 2^order-page
- * region.  The counts live in a DensePageMap keyed by region id; a region
- * with no resident page is absent.
+ * Per-region page counter: counts how many 4 KiB pages are mapped in
+ * each naturally-aligned 2^order-page region.  PageTable keeps one per
+ * order a reader arms (the coalescer's size classes, the multi-level
+ * walker's node spans).  The counts live in a DensePageMap keyed by
+ * region id; a region with no mapped page is absent.
  */
 class DenseRegionCounter
 {
@@ -276,19 +277,30 @@ class DenseRegionCounter
     explicit DenseRegionCounter(unsigned order)
         : order_(order)
     {
-        HPE_ASSERT(order >= 1 && order < 20, "bad region order {}", order);
+        HPE_ASSERT(order >= 1 && order < 32, "bad region order {}", order);
     }
 
     unsigned order() const { return order_; }
 
-    /** Count of resident pages in @p page's region. */
+    /** Number of regions holding at least one page. */
+    std::size_t size() const { return counts_.size(); }
+
+    /** Visit every (region id, count) pair with a nonzero count. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        counts_.forEach(fn);
+    }
+
+    /** Count of mapped pages in @p page's region. */
     std::uint32_t
     count(PageId page) const
     {
         return counts_.lookup(page >> order_);
     }
 
-    /** A page in @p page's region became resident. @return the new count. */
+    /** A page in @p page's region was mapped. @return the new count. */
     std::uint32_t
     increment(PageId page)
     {
@@ -300,7 +312,7 @@ class DenseRegionCounter
         return now;
     }
 
-    /** A page in @p page's region was evicted. @return the new count. */
+    /** A page in @p page's region was unmapped. @return the new count. */
     std::uint32_t
     decrement(PageId page)
     {

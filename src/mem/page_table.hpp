@@ -1,7 +1,9 @@
 /**
  * @file
- * Single-level GPU page table (the paper simplifies to one level with a
- * fixed walk latency) and the physical frame allocator.
+ * The GPU page table and the physical frame allocator.  The paper
+ * simplifies to a single-level table with a fixed walk latency; the
+ * multi-level walker reads the same table through its per-region page
+ * counts (see PageTable::trackRegions).
  */
 
 #pragma once
@@ -23,6 +25,12 @@ namespace hpe {
  * every reference, so the backing store is a dense direct-indexed array
  * over the trace's bounded page-id space (with a hash fallback for
  * out-of-window ids; see mem/page_index.hpp) rather than a hash map.
+ *
+ * Readers that need to know which aligned regions hold mappings arm a
+ * region order before the first mapping: the huge-page coalescer its
+ * size classes, the multi-level walker the spans of its table nodes (a
+ * radix node exists exactly while a page under it is mapped).  map() and
+ * unmap() are the only places the counts change, so a remap nets to zero.
  */
 class PageTable
 {
@@ -39,6 +47,8 @@ class PageTable
     {
         HPE_ASSERT(!resident(page), "double map of page {:#x}", page);
         map_.insert(page, frame);
+        for (DenseRegionCounter &counter : regions_)
+            counter.increment(page);
     }
 
     /** Remove the mapping of @p page. @return the frame it occupied. */
@@ -47,11 +57,46 @@ class PageTable
     {
         const FrameId frame = map_.erase(page);
         HPE_ASSERT(frame != kInvalidId, "unmap of non-resident page {:#x}", page);
+        for (DenseRegionCounter &counter : regions_)
+            counter.decrement(page);
         return frame;
     }
 
     /** Number of resident pages. */
     std::size_t size() const { return map_.size(); }
+
+    /**
+     * Count mapped pages per aligned 2^@p order-page region from now on.
+     * Arming an order already armed is a no-op; a new order must be armed
+     * before the first mapping.
+     */
+    void
+    trackRegions(unsigned order)
+    {
+        for (const DenseRegionCounter &counter : regions_)
+            if (counter.order() == order)
+                return;
+        HPE_ASSERT(size() == 0,
+                   "region order {} armed after the first mapping", order);
+        regions_.emplace_back(order);
+    }
+
+    /** Mapped pages in @p page's 2^@p order-page region (order armed). */
+    std::uint32_t
+    regionCount(PageId page, unsigned order) const
+    {
+        for (const DenseRegionCounter &counter : regions_)
+            if (counter.order() == order)
+                return counter.count(page);
+        panic("region order {} was never armed", order);
+    }
+
+    /** The armed region counters, in arming order. */
+    const std::vector<DenseRegionCounter> &
+    regionCounters() const
+    {
+        return regions_;
+    }
 
     /** Visit every (page, frame) mapping, in no particular order. */
     template <typename Fn>
@@ -63,6 +108,7 @@ class PageTable
 
   private:
     DensePageMap<FrameId, kInvalidId> map_;
+    std::vector<DenseRegionCounter> regions_;
 };
 
 /**

@@ -67,7 +67,6 @@ class SetAssocArray
           indexed_(sets_ == 1), setMod_(sets_)
     {}
 
-    std::size_t numWays() const { return ways_; }
     std::size_t numSets() const { return sets_; }
     std::size_t capacity() const { return entries_.size(); }
 

@@ -31,14 +31,11 @@
 
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -68,7 +65,7 @@ class ResultCache
     /** What acquire() told the caller to do. */
     enum class Role {
         Compute,  ///< caller owns the computation; complete() when done
-        Wait,     ///< identical request in flight; wait() for it
+        Wait,     ///< identical request in flight; whenDone() on it
         Hit,      ///< entry->payload is ready now
         Rejected, ///< pending bound reached; tell the client to retry
     };
@@ -117,7 +114,8 @@ class ResultCache
         return {Role::Compute, entry};
     }
 
-    /** Publish the result of a Compute acquisition and wake waiters. */
+    /** Publish the result of a Compute acquisition and run the callbacks
+     *  parked by whenDone(). */
     void
     complete(const EntryPtr &entry, std::string payload, bool failed = false)
     {
@@ -132,7 +130,6 @@ class ResultCache
             --pending_;
             evictOverflow(evicted);
         }
-        ready_.notify_all();
         // Outside the lock: a callback may call back into the cache.
         for (const auto &callback : callbacks)
             callback();
@@ -144,8 +141,9 @@ class ResultCache
      * calling thread) when it already has, else from the completing
      * thread, after `done`/`payload`/`failed` are published and the
      * cache lock is released.  The daemon's event-driven front end
-     * parks its Wait/Compute responders here instead of blocking a
-     * thread in wait().
+     * parks its Wait/Compute responders here, so no thread blocks on an
+     * entry; the daemon's deadline timer answers a responder whose
+     * deadline passes first.
      */
     void
     whenDone(const EntryPtr &entry, std::function<void()> callback)
@@ -198,22 +196,6 @@ class ResultCache
     {
         std::lock_guard<std::mutex> lock(mutex_);
         evictionObserver_ = std::move(observer);
-    }
-
-    /**
-     * Block until @p entry completes or @p deadline passes (nullopt =
-     * wait forever).  @return true when the entry is done.
-     */
-    bool
-    wait(const EntryPtr &entry,
-         std::optional<std::chrono::steady_clock::time_point> deadline)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (!deadline.has_value()) {
-            ready_.wait(lock, [&] { return entry->done; });
-            return true;
-        }
-        return ready_.wait_until(lock, *deadline, [&] { return entry->done; });
     }
 
     /** @{ Observability counters (monotonic since construction). */
@@ -287,7 +269,6 @@ class ResultCache
     const std::size_t maxPending_;
 
     mutable std::mutex mutex_;
-    std::condition_variable ready_;
     std::unordered_map<std::string, EntryPtr> entries_;
     std::deque<std::string> insertionOrder_;
     std::function<void(const std::string &)> evictionObserver_;

@@ -8,8 +8,9 @@
  *    table and a fixed walk latency (8 cycles by default, 20 in the
  *    sensitivity test).
  *  - MultiLevelWalker (multi_level_walker.hpp): the realistic design the
- *    background section describes — a four-level radix table whose walker
- *    touches one node per level, accelerated by a shared page walk cache.
+ *    background section describes — a four-level radix walk over the same
+ *    page table, one node per level (node presence read from the table's
+ *    per-region page counts), accelerated by a shared page walk cache.
  *
  * Both notify an observer with the page id of every walk that *hits*:
  * that observer is HPE's HIR cache, and the notification is off the walk

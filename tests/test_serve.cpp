@@ -4,8 +4,9 @@
  * admission control, eviction, warm-start seeding), and in-process
  * socket round trips — request/response framing, content-addressed
  * cache hits with identical bytes, error responses that never kill the
- * daemon, stats counters, tiered load shedding, store-backed restart
- * warm hits, stale-socket reclamation, and graceful shutdown.
+ * daemon, request deadlines, stats counters, tiered load shedding,
+ * store-backed restart warm hits, stale-socket reclamation, and
+ * graceful shutdown.
  * (The ResultStore journal itself is covered in test_store.cpp.)
  */
 
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,18 +59,32 @@ TEST(ResultCache, ConcurrentDuplicatesCoalesceOntoOneComputation)
     ASSERT_EQ(owner.role, ResultCache::Role::Compute);
 
     // A duplicate arriving while the computation runs waits on the same
-    // entry instead of computing again.
+    // entry instead of computing again; its responder parks on whenDone(),
+    // as the daemon's do.
     const auto dup = cache.acquire("fp");
     ASSERT_EQ(dup.role, ResultCache::Role::Wait);
     EXPECT_EQ(dup.entry, owner.entry);
+
+    std::promise<std::string> parked;
+    std::future<std::string> answer = parked.get_future();
+    cache.whenDone(dup.entry,
+                   [&] { parked.set_value(dup.entry->payload); });
+    EXPECT_EQ(answer.wait_for(std::chrono::milliseconds(0)),
+              std::future_status::timeout); // not before completion
 
     std::thread completer([&] {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
         cache.complete(owner.entry, "once");
     });
-    EXPECT_TRUE(cache.wait(dup.entry, std::nullopt));
+    const std::future_status status = answer.wait_for(std::chrono::seconds(10));
     completer.join();
-    EXPECT_EQ(dup.entry->payload, "once");
+    ASSERT_EQ(status, std::future_status::ready);
+    EXPECT_EQ(answer.get(), "once");
+
+    // A responder registered after completion runs at once.
+    bool late = false;
+    cache.whenDone(dup.entry, [&] { late = true; });
+    EXPECT_TRUE(late);
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.coalesced(), 1u);
 }
@@ -93,17 +109,6 @@ TEST(ResultCache, RejectsNewWorkWhenSaturatedButStillServesHits)
 
     cache.complete(inflight.entry, "now done");
     EXPECT_EQ(cache.acquire("overflow").role, ResultCache::Role::Compute);
-}
-
-TEST(ResultCache, WaitHonoursDeadlines)
-{
-    ResultCache cache(8, 4);
-    const auto owner = cache.acquire("fp");
-    const auto deadline = std::chrono::steady_clock::now()
-                          + std::chrono::milliseconds(10);
-    EXPECT_FALSE(cache.wait(owner.entry, deadline));
-    cache.complete(owner.entry, "late");
-    EXPECT_TRUE(cache.wait(owner.entry, deadline));
 }
 
 TEST(ResultCache, EvictsOldestCompletedFirst)
@@ -429,6 +434,30 @@ TEST(Serve, ShutdownRequestDrainsGracefully)
     std::string response, error;
     EXPECT_FALSE(
         submitLine(ts.cfg.socketPath, R"({"type":"ping"})", response, error));
+}
+
+TEST(Serve, DeadlineExceededEchoesIdAndRetryGetsTheResult)
+{
+    TestServer ts("deadline");
+    // A timing cell of about 200 ms: far longer than its 1 ms deadline.
+    const std::string cell = R"("request":{"app":"MXR","policy":"Meta-duel",)"
+                             R"("scale":1}})";
+    const Value late = ts.roundTrip(
+        R"({"v":2,"type":"run","id":"slow","deadline_ms":1,)" + cell);
+    EXPECT_FALSE(late.find("ok")->asBool());
+    EXPECT_EQ(late.find("id")->asString(), "slow");
+    ASSERT_NE(late.find("error"), nullptr);
+    ASSERT_TRUE(late.find("error")->isObject());
+    EXPECT_EQ(late.find("error")->find("code")->asString(),
+              "deadline_exceeded");
+
+    // The computation kept running; a retry without a deadline gets it.
+    const Value retry =
+        ts.roundTrip(R"({"v":2,"type":"run","id":"again",)" + cell);
+    ASSERT_TRUE(retry.find("ok")->asBool());
+    EXPECT_EQ(retry.find("id")->asString(), "again");
+    EXPECT_EQ(retry.find("type")->asString(), "result");
+    EXPECT_NE(retry.find("result"), nullptr);
 }
 
 TEST(Serve, SaturatedDaemonRejectsWithRetryHint)
