@@ -1,13 +1,14 @@
 /**
  * @file
- * Golden-trace pin: replays every ci/golden cell in-process and compares
- * the digest line and interval CSV byte-for-byte against the committed
- * files.  The demand-paging cells run with the prefetch/batching code
- * explicitly disabled (--prefetch none --fault-batch 1), proving that
- * compiling the new subsystem in changes *nothing* unless it is turned
- * on; the density cell pins the prefetcher-enabled event stream.  Every
- * cell tools/regen_golden.sh writes is replayed here, and the quick
- * tournament is compared with ci/leaderboard_baseline.json
+ * Golden-trace pin: replays every cell of ci/golden/cells.txt in-process
+ * and compares the digest line and interval CSV byte-for-byte against the
+ * committed files.  The plain (app, policy) cells also run with the
+ * prefetch/batching code explicitly disabled (--prefetch none
+ * --fault-batch 1) and with --page-sizes 4k, proving that compiling those
+ * subsystems in changes *nothing* unless they are turned on; the other
+ * cells pin the event streams of the features they turn on.
+ * tools/regen_golden.sh writes and checks the same list of cells, and the
+ * quick tournament is compared with ci/leaderboard_baseline.json
  * (tools/regen_leaderboard.sh) the same way.
  *
  * Paths resolve against HPE_REPO_ROOT (a compile definition), so the test
@@ -17,8 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -51,25 +54,84 @@ readFile(const std::string &path)
     return ss.str();
 }
 
+/** One line of ci/golden/cells.txt. */
+struct Cell
+{
+    std::string stem;
+    bool functional = true;
+    std::string scale;
+    std::vector<std::string> flags;
+
+    /** The value following @p flag, or "" when the cell does not set it. */
+    std::string
+    flag(const std::string &name) const
+    {
+        for (std::size_t i = 0; i + 1 < flags.size(); ++i)
+            if (flags[i] == name)
+                return flags[i + 1];
+        return {};
+    }
+
+    /** Only --app and --policy: the cell turns no feature on. */
+    bool plain() const { return functional && flags.size() == 4; }
+};
+
+const std::vector<Cell> &
+cells()
+{
+    static const std::vector<Cell> all = [] {
+        std::vector<Cell> out;
+        std::istringstream in(readFile(goldenPath("cells.txt")));
+        std::string line;
+        while (std::getline(in, line)) {
+            std::istringstream words(line);
+            Cell cell;
+            std::string mode;
+            if (!(words >> cell.stem) || cell.stem[0] == '#')
+                continue;
+            words >> mode >> cell.scale;
+            EXPECT_TRUE(mode == "functional" || mode == "timing")
+                << cell.stem << " has mode '" << mode << "'";
+            cell.functional = mode == "functional";
+            for (std::string w; words >> w;)
+                cell.flags.push_back(w);
+            out.push_back(std::move(cell));
+        }
+        return out;
+    }();
+    return all;
+}
+
+const Cell &
+cellNamed(const std::string &stem)
+{
+    for (const Cell &cell : cells())
+        if (cell.stem == stem)
+            return cell;
+    ADD_FAILURE() << "no golden cell " << stem << " in cells.txt";
+    static const Cell none;
+    return none;
+}
+
 /**
- * Run one golden cell exactly as tools/regen_golden.sh does, with the
- * interval CSV routed to stdout after the digest line; the output starts
- * with digest-line + CSV — the concatenation of the two golden files —
+ * Run @p cell exactly as tools/regen_golden.sh does, plus @p extra flags,
+ * with the interval CSV routed to stdout after the digest line; the
+ * output is digest line + CSV, the concatenation of the two golden files,
  * followed by the human-readable run report (not golden-pinned).
- * @p functional false runs a timing cell (CELL_TIMING=1 in the script).
  */
 std::string
-runCell(const std::vector<const char *> &extra, const char *scale = "0.1",
-        bool functional = true)
+runCell(const Cell &cell, const std::vector<std::string> &extra = {})
 {
-    std::vector<const char *> argv = {
-        "hpe_sim", "run",        "--scale",  scale,
-        "--seed",  "1",          "--trace-digest", "--interval-stats", "-",
-        "--interval", "500",
-    };
-    if (functional)
-        argv.push_back("--functional");
-    argv.insert(argv.end(), extra.begin(), extra.end());
+    std::vector<std::string> words = {
+        "hpe_sim", "run", "--scale", cell.scale, "--seed", "1",
+        "--trace-digest", "--interval-stats", "-", "--interval", "500"};
+    if (cell.functional)
+        words.push_back("--functional");
+    words.insert(words.end(), cell.flags.begin(), cell.flags.end());
+    words.insert(words.end(), extra.begin(), extra.end());
+    std::vector<const char *> argv;
+    for (const std::string &w : words)
+        argv.push_back(w.c_str());
     const cli::Args args =
         cli::Args::parse(static_cast<int>(argv.size()), argv.data());
     std::ostringstream os;
@@ -77,131 +139,106 @@ runCell(const std::vector<const char *> &extra, const char *scale = "0.1",
     return os.str();
 }
 
-/** The pinned bytes must be non-empty and open the cell's output. */
+/**
+ * Replay @p cell (plus @p extra flags) and compare everything before the
+ * run report's first line ("<app> under <policy> (") with the pinned
+ * bytes, so a missing or extra interval row fails as surely as a changed
+ * one.
+ */
 void
-expectPinned(const std::string &got, const std::string &expected,
-             const std::string &label)
+expectPinned(const Cell &cell, const std::vector<std::string> &extra = {},
+             const std::string &variant = "")
 {
+    const std::string label = cell.stem + variant;
+    const std::string expected = readFile(goldenPath(cell.stem + ".digest"))
+        + readFile(goldenPath(cell.stem + ".intervals.csv"));
     ASSERT_FALSE(expected.empty()) << label;
-    EXPECT_EQ(got.substr(0, expected.size()), expected)
-        << "golden cell " << label << " diverged";
+    const std::string got = runCell(cell, extra);
+    const std::string report =
+        cell.flag("--app") + " under " + cell.flag("--policy") + " (";
+    const std::size_t end = got.find(report);
+    ASSERT_NE(end, std::string::npos) << label << ": no run report";
+    EXPECT_EQ(got.substr(0, end), expected) << "golden cell " << label
+                                            << " diverged";
 }
 
 TEST(GoldenPin, DisabledPrefetchCellsAreByteIdentical)
 {
-    for (const char *app : {"HSD", "BFS", "KMN"}) {
-        for (const char *policy : {"LRU", "HPE", "Ideal", "RRIP", "CLOCK-Pro",
-                                   "Random", "CLOCK", "DIP", "LFU", "FIFO"}) {
-            const std::string stem = std::string(app) + "_" + policy;
-            const std::string expected = readFile(goldenPath(stem + ".digest"))
-                + readFile(goldenPath(stem + ".intervals.csv"));
-            const std::string got = runCell({"--app", app, "--policy", policy,
-                                             "--prefetch", "none",
-                                             "--fault-batch", "1"});
-            expectPinned(got, expected, stem + " (prefetch disabled)");
-        }
-    }
+    for (const Cell &cell : cells())
+        if (cell.plain())
+            expectPinned(cell, {"--prefetch", "none", "--fault-batch", "1"},
+                         " (prefetch disabled)");
 }
 
 TEST(GoldenPin, DefaultConfigMatchesDisabledConfig)
 {
     // The defaults must *be* the disabled configuration.
-    const std::string expected = readFile(goldenPath("HSD_HPE.digest"))
-        + readFile(goldenPath("HSD_HPE.intervals.csv"));
-    expectPinned(runCell({"--app", "HSD", "--policy", "HPE"}), expected,
-                 "HSD_HPE (defaults)");
+    expectPinned(cellNamed("HSD_HPE"), {}, " (defaults)");
 }
 
 TEST(GoldenPin, DensityPrefetchCellIsByteIdentical)
 {
-    const std::string expected =
-        readFile(goldenPath("KMN_HPE_density.digest"))
-        + readFile(goldenPath("KMN_HPE_density.intervals.csv"));
-    const std::string got = runCell(
-        {"--app", "KMN", "--policy", "HPE", "--prefetch", "density"});
-    expectPinned(got, expected, "KMN_HPE_density");
+    expectPinned(cellNamed("KMN_HPE_density"));
 }
 
 TEST(GoldenPin, MetaDuelCellIsByteIdentical)
 {
-    // Pins the meta-policy's interval boundaries, its policy_switch
-    // events (folded into the digest) and the meta_active /
-    // meta_switches interval columns.
-    const std::string expected = readFile(goldenPath("KMN_MetaDuel.digest"))
-        + readFile(goldenPath("KMN_MetaDuel.intervals.csv"));
-    expectPinned(runCell({"--app", "KMN", "--policy", "Meta-duel"}), expected,
-                 "KMN_MetaDuel");
+    expectPinned(cellNamed("KMN_MetaDuel"));
 }
 
 TEST(GoldenPin, ExplicitBaselinePageSizesMatchEveryCell)
 {
     // Spelling out --page-sizes 4k must be the identity: the page-size
-    // axis attaches nothing, so every pre-existing cell reproduces
-    // byte-for-byte.
-    for (const char *app : {"HSD", "BFS", "KMN"}) {
-        for (const char *policy : {"LRU", "HPE", "Ideal", "RRIP", "CLOCK-Pro",
-                                   "Random", "CLOCK", "DIP", "LFU", "FIFO"}) {
-            const std::string stem = std::string(app) + "_" + policy;
-            const std::string expected = readFile(goldenPath(stem + ".digest"))
-                + readFile(goldenPath(stem + ".intervals.csv"));
-            const std::string got = runCell({"--app", app, "--policy", policy,
-                                             "--page-sizes", "4k"});
-            expectPinned(got, expected, stem + " (--page-sizes 4k)");
-        }
-    }
+    // axis attaches nothing, so every plain cell reproduces byte-for-byte.
+    for (const Cell &cell : cells())
+        if (cell.plain())
+            expectPinned(cell, {"--page-sizes", "4k"}, " (--page-sizes 4k)");
 }
 
 TEST(GoldenPin, HugePageCoalescingCellsAreByteIdentical)
 {
-    // Pins the coalescer's event stream (coalesce/splinter events fold
-    // into the digest) and the page-size interval columns.
-    {
-        const std::string expected =
-            readFile(goldenPath("KMN_HPE_64k.digest"))
-            + readFile(goldenPath("KMN_HPE_64k.intervals.csv"));
-        const std::string got =
-            runCell({"--app", "KMN", "--policy", "HPE", "--page-sizes",
-                     "4k,64k", "--coalesce"});
-        expectPinned(got, expected, "KMN_HPE_64k");
-    }
-    {
-        // Full scale + raised oversubscription: a 2 MiB page spans 512
-        // frames and must fit the pool (tools/regen_golden.sh matches).
-        const std::string expected =
-            readFile(goldenPath("STN_LRU_2m.digest"))
-            + readFile(goldenPath("STN_LRU_2m.intervals.csv"));
-        const std::string got =
-            runCell({"--app", "STN", "--policy", "LRU", "--oversub", "0.85",
-                     "--page-sizes", "4k,2m", "--coalesce"},
-                    /*scale=*/"1.0");
-        expectPinned(got, expected, "STN_LRU_2m");
-    }
+    expectPinned(cellNamed("KMN_HPE_64k"));
+    expectPinned(cellNamed("STN_LRU_2m"));
 }
 
 TEST(GoldenPin, MultiLevelWalkerTimingCellsAreByteIdentical)
 {
-    // The multi-level walker runs in timing mode only, where its walk
-    // latencies move the digest: MXR thrashes over six leaf nodes, and
-    // the KMN cell remaps pages under the walker through the coalescer.
-    {
-        const std::string expected = readFile(goldenPath("MXR_HPE_ml.digest"))
-            + readFile(goldenPath("MXR_HPE_ml.intervals.csv"));
-        const std::string got =
-            runCell({"--app", "MXR", "--policy", "HPE", "--multi-level-walker",
-                     "--oversub", "0.5"},
-                    /*scale=*/"0.5", /*functional=*/false);
-        expectPinned(got, expected, "MXR_HPE_ml");
+    expectPinned(cellNamed("MXR_HPE_ml"));
+    expectPinned(cellNamed("KMN_HPE_64k_ml"));
+}
+
+TEST(GoldenPin, ResilienceTimingCellsAreByteIdentical)
+{
+    // Degraded mode's watermarks, pin set and throttle; the chaos
+    // injector's stalls and the driver's retry backoff; and the fault
+    // batcher's partial-batch timeout.
+    expectPinned(cellNamed("HSD_LRU_degrade"));
+    expectPinned(cellNamed("STN_LRU_chaos"));
+    expectPinned(cellNamed("HSD_LRU_batch8"));
+}
+
+TEST(GoldenPin, StrideAndSequentialPrefetchCellsAreByteIdentical)
+{
+    expectPinned(cellNamed("KMN_HPE_stride"));
+    expectPinned(cellNamed("KMN_HPE_sequential"));
+}
+
+TEST(GoldenPin, EveryCellHasItsFilesAndEveryFileItsCell)
+{
+    // cells.txt is the one list: each cell has both pinned files, and no
+    // pinned file outlives its cell.
+    std::set<std::string> expected = {"cells.txt"};
+    for (const Cell &cell : cells()) {
+        EXPECT_FALSE(cell.flag("--app").empty()) << cell.stem;
+        EXPECT_FALSE(cell.flag("--policy").empty()) << cell.stem;
+        expected.insert(cell.stem + ".digest");
+        expected.insert(cell.stem + ".intervals.csv");
     }
-    {
-        const std::string expected =
-            readFile(goldenPath("KMN_HPE_64k_ml.digest"))
-            + readFile(goldenPath("KMN_HPE_64k_ml.intervals.csv"));
-        const std::string got =
-            runCell({"--app", "KMN", "--policy", "HPE", "--multi-level-walker",
-                     "--page-sizes", "4k,64k", "--coalesce"},
-                    /*scale=*/"0.1", /*functional=*/false);
-        expectPinned(got, expected, "KMN_HPE_64k_ml");
-    }
+    std::set<std::string> present;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(goldenPath("")))
+        present.insert(entry.path().filename().string());
+    EXPECT_EQ(present, expected);
 }
 
 TEST(GoldenPin, QuickLeaderboardMatchesBaseline)
