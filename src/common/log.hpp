@@ -91,11 +91,15 @@ inform(std::string_view fmt, Args &&...args)
     std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
-/** panic() unless @p cond holds; used for internal invariants. */
+/**
+ * panic() unless @p cond holds; used for internal invariants.  The
+ * condition's text is an argument, not part of the format string, so a
+ * braced initializer in it (`std::uint32_t{1}`) prints as written.
+ */
 #define HPE_ASSERT(cond, ...)                                                  \
     do {                                                                       \
         if (!(cond)) [[unlikely]]                                              \
-            ::hpe::panic("assertion `" #cond "` failed at {}:{}: {}",          \
+            ::hpe::panic("assertion `{}` failed at {}:{}: {}", #cond,          \
                          __FILE__, __LINE__, ::hpe::strformat(__VA_ARGS__));   \
     } while (0)
 

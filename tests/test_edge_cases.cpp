@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/event_queue.hpp"
+#include "common/log.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "driver/pcie.hpp"
@@ -21,6 +25,30 @@
 
 namespace hpe {
 namespace {
+
+/** A POSIX extended regex that matches @p text literally. */
+std::string
+literalRegex(const std::string &text)
+{
+    std::string out;
+    for (const char c : text) {
+        if (std::string_view(".[]{}()\\*+?|^$").find(c) != std::string_view::npos)
+            out += '\\';
+        out += c;
+    }
+    return out;
+}
+
+TEST(Death, AssertPrintsABracedConditionAsWritten)
+{
+    // The condition is an argument of the message, not part of its format
+    // string, so its braces are not read as a placeholder.
+    const int line = __LINE__ + 4;
+    const std::string message = "assertion `std::uint32_t{1} == 2` failed at "
+        + std::string(__FILE__) + ":" + std::to_string(line) + ": value 7";
+    // One line: the assertion reports the line it is written on.
+    EXPECT_DEATH(HPE_ASSERT(std::uint32_t{1} == 2, "value {}", 7), literalRegex(message));
+}
 
 TEST(Death, PageTableDoubleMap)
 {
