@@ -28,7 +28,6 @@ class Counter
     void operator++(int) { ++value_; }
     void operator+=(std::uint64_t n) { value_ += n; }
     std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
@@ -53,15 +52,6 @@ class Distribution
     double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
     double minimum() const { return count_ ? min_ : 0.0; }
     double maximum() const { return count_ ? max_ : 0.0; }
-
-    void
-    reset()
-    {
-        count_ = 0;
-        sum_ = 0.0;
-        min_ = 1e300;
-        max_ = -1e300;
-    }
 
   private:
     std::uint64_t count_ = 0;
@@ -148,16 +138,6 @@ class StatRegistry
             os << *name << "," << d->count() << ",," << d->mean() << ","
                << d->minimum() << "," << d->maximum() << "\n";
         }
-    }
-
-    /** Zero every registered stat (between experiment repetitions). */
-    void
-    resetAll()
-    {
-        for (auto &[name, c] : counters_)
-            c.reset();
-        for (auto &[name, d] : dists_)
-            d.reset();
     }
 
   private:

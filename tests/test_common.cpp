@@ -19,7 +19,6 @@
 #include "common/format.hpp"
 #include "common/intrusive_list.hpp"
 #include "common/rng.hpp"
-#include "common/sat_counter.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
@@ -222,39 +221,6 @@ TEST(Rng, ChanceRespectsProbability)
     EXPECT_NEAR(hits / 10000.0, 0.25, 0.02);
 }
 
-TEST(SatCounter, SaturatesAtMax)
-{
-    SatCounter c(64);
-    for (int i = 0; i < 100; ++i)
-        c.add();
-    EXPECT_EQ(c.value(), 64u);
-    EXPECT_TRUE(c.saturated());
-}
-
-TEST(SatCounter, AddWithLargeIncrement)
-{
-    SatCounter c(10);
-    c.add(7);
-    EXPECT_EQ(c.value(), 7u);
-    c.add(7);
-    EXPECT_EQ(c.value(), 10u);
-}
-
-TEST(SatCounter, SubClampsAtZero)
-{
-    SatCounter c(10, 3);
-    c.sub(5);
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(SatCounter, Reset)
-{
-    SatCounter c(10, 10);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_FALSE(c.saturated());
-}
-
 TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue eq;
@@ -403,16 +369,6 @@ TEST(Stats, DistributionMoments)
     EXPECT_DOUBLE_EQ(d.mean(), 3.0);
     EXPECT_DOUBLE_EQ(d.minimum(), 1.0);
     EXPECT_DOUBLE_EQ(d.maximum(), 6.0);
-}
-
-TEST(Stats, ResetAllZeroes)
-{
-    StatRegistry stats;
-    stats.counter("a") += 3;
-    stats.distribution("b").sample(1.0);
-    stats.resetAll();
-    EXPECT_EQ(stats.findCounter("a").value(), 0u);
-    EXPECT_EQ(stats.findDistribution("b").count(), 0u);
 }
 
 TEST(Stats, DumpContainsEntries)
