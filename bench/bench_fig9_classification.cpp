@@ -18,11 +18,11 @@ main(int argc, char **argv)
     bench::banner("Fig. 9 / Table III: ratio1, ratio2 and classification", opt);
 
     std::cout << "Table III thresholds: regular (r1 <= "
-              << HpeConfig{}.ratio1Threshold << ", r2 < "
-              << HpeConfig{}.ratio2Threshold << "), irregular#1 (r1 <= "
-              << HpeConfig{}.ratio1Threshold << ", r2 >= "
-              << HpeConfig{}.ratio2Threshold << "), irregular#2 (r1 > "
-              << HpeConfig{}.ratio1Threshold << ")\n\n";
+              << HpeConfig::kRatio1Threshold << ", r2 < "
+              << HpeConfig::kRatio2Threshold << "), irregular#1 (r1 <= "
+              << HpeConfig::kRatio1Threshold << ", r2 >= "
+              << HpeConfig::kRatio2Threshold << "), irregular#2 (r1 > "
+              << HpeConfig::kRatio1Threshold << ")\n\n";
 
     RunConfig cfg;
     cfg.oversub = 0.75;

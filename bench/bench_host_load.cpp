@@ -47,7 +47,7 @@ main(int argc, char **argv)
                     const auto run = runTimingInspect(trace, kind, cfg);
                     double busy_us =
                         static_cast<double>(run.timing.faults)
-                        * cyclesToMicros(cfg.gpu.driver.faultServiceCycles);
+                        * cyclesToMicros(DriverConfig::kFaultServiceCycles);
                     if (kind == PolicyKind::Hpe)
                         busy_us += static_cast<double>(
                                        run.stats->findCounter("hpe.hirFlushes")

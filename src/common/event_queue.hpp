@@ -99,7 +99,7 @@ class EventQueue
 
     ~EventQueue()
     {
-        // Destroy un-fired callbacks (a run cut short by maxCycles or a
+        // Destroy un-fired callbacks (a run(max_events) cut short, or a
         // test draining early); the arena blocks free with the vector.
         if (pending_ != 0) {
             for (std::size_t b = 0; b < kWheelBuckets; ++b)

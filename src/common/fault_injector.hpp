@@ -41,7 +41,7 @@ struct ChaosConfig
     double pcieStallProb = 0.0;
 
     /** Extra link occupancy of one injected stall. */
-    Cycle pcieStallCycles = microsToCycles(5.0);
+    static constexpr Cycle kPcieStallCycles = microsToCycles(5.0);
 
     /** A fault service times out and is replayed after backoff. */
     double serviceTimeoutProb = 0.0;
@@ -116,7 +116,7 @@ class FaultInjector
     {
         return draw(pcieStallRng_, cfg_.pcieStallProb, pcieStalls_,
                     trace::ChaosKind::PcieStall)
-                   ? cfg_.pcieStallCycles
+                   ? ChaosConfig::kPcieStallCycles
                    : 0;
     }
 

@@ -90,9 +90,9 @@ AdjustmentController::trigger(std::uint64_t fault_number)
         // degenerate MRU-C into LRU, so the offset is bounded there.
         if (!jumpEligible_)
             return;
-        if (searchOffset_ + cfg_.searchJump > oldSetsAtStart_)
+        if (searchOffset_ + HpeConfig::kSearchJump > oldSetsAtStart_)
             return;
-        searchOffset_ += cfg_.searchJump;
+        searchOffset_ += HpeConfig::kSearchJump;
         // Judge the jumped configuration on fresh evidence only.
         state(active_).buffer.clear();
         ++jumps_;

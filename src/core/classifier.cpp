@@ -32,9 +32,9 @@ classify(const HpeConfig &cfg, PageSetChain &chain)
                          / static_cast<double>(r.smallRegular)
                    : (r.largeRegular > 0 ? inf : 0.0);
 
-    if (r.ratio1 > cfg.ratio1Threshold)
+    if (r.ratio1 > HpeConfig::kRatio1Threshold)
         r.category = Category::Irregular2;
-    else if (r.ratio2 >= cfg.ratio2Threshold)
+    else if (r.ratio2 >= HpeConfig::kRatio2Threshold)
         r.category = Category::Irregular1;
     else
         r.category = Category::Regular;

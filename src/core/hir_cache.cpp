@@ -29,7 +29,7 @@ HirCache::recordHit(PageId page)
     const PageSetId set = page >> pageSetShift();
     const std::uint32_t offset = static_cast<std::uint32_t>(page & (cfg_.pageSetSize - 1));
     const std::uint8_t ceiling =
-        static_cast<std::uint8_t>((1u << cfg_.hirCounterBits) - 1);
+        static_cast<std::uint8_t>((1u << HpeConfig::kHirCounterBits) - 1);
 
     SetAssocArray<Payload>::Entry displaced;
     const auto [entry, resident] = array_.findOrInsert(set, &displaced);
@@ -67,9 +67,9 @@ HirCache::flush()
 std::size_t
 HirCache::recordBytes() const
 {
-    // 48-bit tag + pageSetSize counters of hirCounterBits each (§V-C:
+    // 48-bit tag + pageSetSize counters of kHirCounterBits each (§V-C:
     // 80 bits = 10 bytes with the default configuration).
-    const std::size_t bits = 48 + cfg_.pageSetSize * cfg_.hirCounterBits;
+    const std::size_t bits = 48 + cfg_.pageSetSize * HpeConfig::kHirCounterBits;
     return (bits + 7) / 8;
 }
 

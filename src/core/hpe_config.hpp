@@ -48,21 +48,21 @@ struct HpeConfig
     std::uint32_t intervalLength = 64;
 
     /** Saturation ceiling of the per-set touch counter (paper: 64). */
-    std::uint32_t counterMax = 64;
+    static constexpr std::uint32_t kCounterMax = 64;
 
     /**
      * Counter value at which an incompletely-populated set divides
-     * (paper: at saturation, i.e. counterMax).  §V-B notes NW improves
+     * (paper: at saturation, i.e. kCounterMax).  §V-B notes NW improves
      * "if more page sets are divided by relaxing the division
      * requirement" — lowering this threshold is that relaxation.
      */
     std::uint32_t divisionThreshold = 64;
 
     /** Classification threshold on ratio1 (paper: 0.3). */
-    double ratio1Threshold = 0.3;
+    static constexpr double kRatio1Threshold = 0.3;
 
     /** Classification threshold on ratio2 (paper: 2). */
-    double ratio2Threshold = 2.0;
+    static constexpr double kRatio2Threshold = 2.0;
 
     /** Depth of each wrong-eviction FIFO buffer (paper: 128 = 2 intervals). */
     std::uint32_t fifoDepth = 128;
@@ -77,7 +77,7 @@ struct HpeConfig
     std::uint32_t transferInterval = 16;
 
     /** MRU-C search-point jump distance on adjustment (paper: 16). */
-    std::uint32_t searchJump = 16;
+    static constexpr std::uint32_t kSearchJump = 16;
 
     /**
      * A "regular" application only adjusts its search point if the old
@@ -91,7 +91,9 @@ struct HpeConfig
     std::uint32_t hirWays = 8;
 
     /** Bits per HIR per-page hit counter (paper: 2). */
-    std::uint32_t hirCounterBits = 2;
+    static constexpr std::uint32_t kHirCounterBits = 2;
+    static_assert(kHirCounterBits >= 1 && kHirCounterBits <= 8,
+                  "bad HIR counter width");
 
     /** Hit-information channel. */
     HitChannel hitChannel = HitChannel::Hir;
@@ -117,13 +119,12 @@ struct HpeConfig
         // with larger sets (e.g. 32) the saturating counter cannot express
         // "large and regular", which is exactly the classification
         // difficulty the paper reports for size 32 (§V-A).
-        HPE_ASSERT(counterMax >= pageSetSize,
-                   "counter ceiling {} below page set size {}", counterMax, pageSetSize);
-        HPE_ASSERT(divisionThreshold > 0 && divisionThreshold <= counterMax,
+        HPE_ASSERT(kCounterMax >= pageSetSize,
+                   "counter ceiling {} below page set size {}", kCounterMax, pageSetSize);
+        HPE_ASSERT(divisionThreshold > 0 && divisionThreshold <= kCounterMax,
                    "division threshold {} outside (0, {}]", divisionThreshold,
-                   counterMax);
+                   kCounterMax);
         HPE_ASSERT(hirEntries % hirWays == 0, "bad HIR geometry");
-        HPE_ASSERT(hirCounterBits >= 1 && hirCounterBits <= 8, "bad HIR counter width");
     }
 };
 

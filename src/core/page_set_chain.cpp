@@ -110,7 +110,7 @@ PageSetChain::touch(PageId page, std::uint32_t count, bool is_fault)
     ChainEntry &e = *result.entry;
 
     const bool was_over_threshold = e.counter >= cfg_.divisionThreshold;
-    e.counter = std::min(e.counter + count, cfg_.counterMax);
+    e.counter = std::min(e.counter + count, HpeConfig::kCounterMax);
     if (is_fault)
         e.bitVec |= std::uint64_t{1} << offset;
 

@@ -22,7 +22,7 @@
  * Under chaos mode (setInjector) a fault service can time out or its
  * migration transfer can fail before the page is made resident.  Both are
  * replayed through the same completion event after a bounded exponential
- * backoff (DriverConfig::retry); when the attempt budget is exhausted the
+ * backoff (RetryPolicy); when the attempt budget is exhausted the
  * driver escalates to the reliable slow path and services the fault
  * unconditionally, so a fault can be delayed but never lost.
  */
@@ -54,7 +54,7 @@ namespace hpe {
 struct DriverConfig
 {
     /** Fixed page-fault service latency (paper: 20 us). */
-    Cycle faultServiceCycles = microsToCycles(20.0);
+    static constexpr Cycle kFaultServiceCycles = microsToCycles(20.0);
     /**
      * Minimum gap between consecutive fault-service *starts*.  Real UVM
      * runtimes pipeline fault handling (the 20 us latency spans several
@@ -62,13 +62,15 @@ struct DriverConfig
      * higher than 1/latency; this models that pipelining while keeping
      * per-fault latency fixed.
      */
-    Cycle serviceInitiationCycles = microsToCycles(5.0);
+    static constexpr Cycle kServiceInitiationCycles = microsToCycles(5.0);
+    /** Flush a partial batch after this long. */
+    static constexpr Cycle kBatchTimeoutCycles = microsToCycles(5.0);
 
     /**
      * Prefetcher run after each serviced fault; it only fills *free*
      * frames, never evicts.  Kind None (the paper's configuration) means
      * demand paging only; Sequential is the NVIDIA driver's basic-block
-     * heuristic over aligned prefetch.blockPages-page blocks.
+     * heuristic over aligned PrefetchConfig::kBlockPages-page blocks.
      */
     prefetch::PrefetchConfig prefetch{};
 
@@ -78,12 +80,6 @@ struct DriverConfig
      * 1 = service immediately (the paper's fixed-latency model).
      */
     unsigned batchSize = 1;
-
-    /** Flush a partial batch after this long. */
-    Cycle batchTimeoutCycles = microsToCycles(5.0);
-
-    /** Backoff schedule for timed-out / failed fault services (chaos). */
-    RetryPolicy retry{};
 };
 
 /** Serialized fault-service engine on the host CPU. */
@@ -208,7 +204,7 @@ class GpuDriver
         }
         if (!flushTimerArmed_) {
             flushTimerArmed_ = true;
-            eq_.scheduleIn(cfg_.batchTimeoutCycles, [this] {
+            eq_.scheduleIn(DriverConfig::kBatchTimeoutCycles, [this] {
                 flushTimerArmed_ = false;
                 launchAll();
             });
@@ -219,7 +215,7 @@ class GpuDriver
      * Drain the fault batch, staggering service starts by the initiation
      * interval.  This is the amortized batch-service model: a batch of N
      * occupies the host for N initiation slices but completes within
-     * faultServiceCycles + (N-1) * serviceInitiationCycles — far less
+     * kFaultServiceCycles + (N-1) * kServiceInitiationCycles — far less
      * than N independent full-latency services.
      */
     void
@@ -231,10 +227,10 @@ class GpuDriver
         batchOccupancy_.sample(static_cast<double>(batcher_.size()));
         batcher_.drain([this](const prefetch::PendingFault &pf) {
             const Cycle start = std::max(eq_.now(), nextStart_);
-            nextStart_ = start + cfg_.serviceInitiationCycles;
+            nextStart_ = start + DriverConfig::kServiceInitiationCycles;
             // Host-core occupancy: the initiation slice per fault.
-            busyCycles_ += cfg_.serviceInitiationCycles;
-            eq_.schedule(start + cfg_.faultServiceCycles,
+            busyCycles_ += DriverConfig::kServiceInitiationCycles;
+            eq_.schedule(start + DriverConfig::kFaultServiceCycles,
                          [this, page = pf.page] { complete(page); });
         });
     }
@@ -253,7 +249,7 @@ class GpuDriver
         if (!timed_out && !xfer_failed)
             return true;
         const unsigned attempt = ++slotOf(page).attempts;
-        if (attempt > cfg_.retry.maxAttempts) {
+        if (attempt > RetryPolicy::kMaxAttempts) {
             // Attempt budget exhausted: escalate to the reliable slow
             // path and service the fault regardless — delayed, not lost.
             ++*retriesExhausted_;
@@ -264,8 +260,8 @@ class GpuDriver
         else
             ++*migrationRetries_;
         // The host core re-issues the service after backing off.
-        busyCycles_ += cfg_.serviceInitiationCycles;
-        eq_.scheduleIn(cfg_.retry.backoff(attempt),
+        busyCycles_ += DriverConfig::kServiceInitiationCycles;
+        eq_.scheduleIn(RetryPolicy::backoff(attempt),
                        [this, page] { complete(page); });
         return false;
     }

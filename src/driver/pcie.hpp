@@ -25,28 +25,25 @@
 
 namespace hpe {
 
-/** Link bandwidth and derived per-byte cost. */
-struct PcieConfig
-{
-    double bandwidthGBs = 16.0;
-
-    /** Cycles to move @p bytes at the configured bandwidth. */
-    Cycle
-    cyclesForBytes(std::uint64_t bytes) const
-    {
-        const double bytes_per_cycle =
-            bandwidthGBs * 1e9 / (kCoreClockGHz * 1e9);
-        const double cycles = static_cast<double>(bytes) / bytes_per_cycle;
-        return cycles < 1.0 ? 1 : static_cast<Cycle>(cycles);
-    }
-};
-
 /** Occupancy-tracking PCIe link. */
 class PcieLink
 {
   public:
-    PcieLink(const PcieConfig &cfg, StatRegistry &stats, const std::string &name)
-        : cfg_(cfg), stats_(stats), name_(name),
+    /** Link bandwidth (Table I: 16 GB/s). */
+    static constexpr double kBandwidthGBs = 16.0;
+
+    /** Cycles to move @p bytes at the link bandwidth (at least one). */
+    static Cycle
+    cyclesForBytes(std::uint64_t bytes)
+    {
+        const double bytes_per_cycle =
+            kBandwidthGBs * 1e9 / (kCoreClockGHz * 1e9);
+        const double cycles = static_cast<double>(bytes) / bytes_per_cycle;
+        return cycles < 1.0 ? 1 : static_cast<Cycle>(cycles);
+    }
+
+    PcieLink(StatRegistry &stats, const std::string &name)
+        : stats_(stats), name_(name),
           bytesMoved_(stats.counter(name + ".bytes")),
           transfers_(stats.counter(name + ".transfers"))
     {}
@@ -82,7 +79,7 @@ class PcieLink
         if (bytes == 0)
             return now > horizon_ ? now : horizon_;
         const Cycle start = now > horizon_ ? now : horizon_;
-        horizon_ = start + cfg_.cyclesForBytes(bytes);
+        horizon_ = start + cyclesForBytes(bytes);
         if (sink_ != nullptr)
             sink_->emitAt(start, trace::EventKind::PcieTransfer, 0, 0, bytes);
         if (injector_ != nullptr) {
@@ -98,10 +95,7 @@ class PcieLink
     /** Cycle at which the link next becomes free. */
     Cycle horizon() const { return horizon_; }
 
-    const PcieConfig &config() const { return cfg_; }
-
   private:
-    PcieConfig cfg_;
     StatRegistry &stats_;
     std::string name_;
     Cycle horizon_ = 0;

@@ -13,8 +13,8 @@
 
 #pragma once
 
+#include <array>
 #include <string>
-#include <vector>
 
 #include "common/log.hpp"
 #include "common/stats.hpp"
@@ -26,65 +26,58 @@ namespace hpe {
 struct RetryPolicy
 {
     /** Retries before the driver escalates to the reliable slow path. */
-    unsigned maxAttempts = 4;
+    static constexpr unsigned kMaxAttempts = 4;
 
     /** Backoff before the first retry. */
-    Cycle backoffBaseCycles = microsToCycles(2.0);
+    static constexpr Cycle kBackoffBaseCycles = microsToCycles(2.0);
 
     /** Growth factor per further attempt. */
-    unsigned backoffMultiplier = 2;
+    static constexpr unsigned kBackoffMultiplier = 2;
 
     /** Ceiling on a single backoff interval. */
-    Cycle backoffCapCycles = microsToCycles(64.0);
+    static constexpr Cycle kBackoffCapCycles = microsToCycles(64.0);
 
     /** Backoff before retry number @p attempt (1-based). */
-    Cycle
-    backoff(unsigned attempt) const
+    static Cycle
+    backoff(unsigned attempt)
     {
         HPE_ASSERT(attempt >= 1, "retry attempts are 1-based");
-        Cycle b = backoffBaseCycles;
+        Cycle b = kBackoffBaseCycles;
         for (unsigned i = 1; i < attempt; ++i) {
-            if (b >= backoffCapCycles / (backoffMultiplier ? backoffMultiplier : 1))
-                return backoffCapCycles;
-            b *= backoffMultiplier;
+            if (b >= kBackoffCapCycles / kBackoffMultiplier)
+                return kBackoffCapCycles;
+            b *= kBackoffMultiplier;
         }
-        return b < backoffCapCycles ? b : backoffCapCycles;
+        return b < kBackoffCapCycles ? b : kBackoffCapCycles;
     }
 };
 
-/** Tuning knobs of the graceful-degradation mode. */
+/** Graceful-degradation mode: whether it is on, and its fixed watermarks. */
 struct DegradationConfig
 {
     bool enabled = false;
 
     /** Sliding window of serviced faults the refault rate is taken over. */
-    std::uint32_t windowFaults = 256;
+    static constexpr std::uint32_t kWindowFaults = 256;
 
     /** Refault rate at which degraded mode is entered. */
-    double enterRefaultRate = 0.5;
+    static constexpr double kEnterRefaultRate = 0.5;
 
     /** Refault rate at which degraded mode is exited (hysteresis). */
-    double exitRefaultRate = 0.25;
+    static constexpr double kExitRefaultRate = 0.25;
 
     /** Fraction of GPU memory pinned (hottest pages) on entry. */
-    double pinFraction = 0.125;
+    static constexpr double kPinFraction = 0.125;
 
     /** Extra completion latency per fault serviced while degraded
      *  (the throttled eviction pump). */
-    Cycle throttleCycles = microsToCycles(10.0);
+    static constexpr Cycle kThrottleCycles = microsToCycles(10.0);
 
-    /** fatal() on inconsistent parameters. */
-    void
-    validate() const
-    {
-        if (windowFaults == 0)
-            fatal("degradation window must be nonzero");
-        if (enterRefaultRate <= exitRefaultRate)
-            fatal("degradation enter rate {} must exceed exit rate {} "
-                  "(hysteresis)", enterRefaultRate, exitRefaultRate);
-        if (pinFraction < 0.0 || pinFraction > 1.0)
-            fatal("pin fraction {} outside [0, 1]", pinFraction);
-    }
+    static_assert(kWindowFaults > 0, "degradation window must be nonzero");
+    static_assert(kEnterRefaultRate > kExitRefaultRate,
+                  "the enter rate must exceed the exit rate (hysteresis)");
+    static_assert(kPinFraction >= 0.0 && kPinFraction <= 1.0,
+                  "pin fraction outside [0, 1]");
 };
 
 /** What one detector update decided. */
@@ -104,20 +97,15 @@ class ThrashingDetector
 {
   public:
     /**
-     * @param cfg   watermarks and window geometry; validated here.
      * @param stats registry receiving "<name>.*".
      * @param name  stat prefix, e.g. "driver.uvm.degraded".
      */
-    ThrashingDetector(const DegradationConfig &cfg, StatRegistry &stats,
-                      const std::string &name)
-        : cfg_(cfg), window_(cfg.windowFaults, 0),
-          entries_(stats.counter(name + ".entries")),
+    ThrashingDetector(StatRegistry &stats, const std::string &name)
+        : entries_(stats.counter(name + ".entries")),
           exits_(stats.counter(name + ".exits")),
           degradedFaults_(stats.counter(name + ".faults")),
           refaultRate_(stats.distribution(name + ".refaultRate"))
-    {
-        cfg_.validate();
-    }
+    {}
 
     /**
      * Record one serviced fault and update the mode.
@@ -139,12 +127,12 @@ class ThrashingDetector
         const double rate = static_cast<double>(refaultsInWindow_)
                             / static_cast<double>(window_.size());
         refaultRate_.sample(rate);
-        if (!degraded_ && rate >= cfg_.enterRefaultRate) {
+        if (!degraded_ && rate >= DegradationConfig::kEnterRefaultRate) {
             degraded_ = true;
             ++entries_;
             return DegradationEvent::Entered;
         }
-        if (degraded_ && rate <= cfg_.exitRefaultRate) {
+        if (degraded_ && rate <= DegradationConfig::kExitRefaultRate) {
             degraded_ = false;
             ++exits_;
             return DegradationEvent::Exited;
@@ -153,13 +141,12 @@ class ThrashingDetector
     }
 
     bool degraded() const { return degraded_; }
-    const DegradationConfig &config() const { return cfg_; }
     std::uint64_t timesEntered() const { return entries_.value(); }
     std::uint64_t timesExited() const { return exits_.value(); }
 
   private:
-    DegradationConfig cfg_;
-    std::vector<std::uint8_t> window_; ///< circular refault bitmap
+    /** Circular refault bitmap. */
+    std::array<std::uint8_t, DegradationConfig::kWindowFaults> window_{};
     std::size_t pos_ = 0;
     std::size_t observed_ = 0;  ///< observations, capped at window size
     std::uint32_t refaultsInWindow_ = 0;

@@ -231,7 +231,7 @@ class UvmMemoryManager
                 break;
             }
             if (detector_->degraded())
-                out.throttleCycles = detector_->config().throttleCycles;
+                out.throttleCycles = DegradationConfig::kThrottleCycles;
         }
         if (validateHook_)
             validateHook_();
@@ -372,10 +372,10 @@ class UvmMemoryManager
      * pages while tripped.  Stats land under "<name of this manager>.degraded.*".
      */
     void
-    enableDegradation(const DegradationConfig &cfg)
+    enableDegradation()
     {
         HPE_ASSERT(detector_ == nullptr, "degradation enabled twice");
-        detector_ = std::make_unique<ThrashingDetector>(cfg, stats_,
+        detector_ = std::make_unique<ThrashingDetector>(stats_,
                                                         name_ + ".degraded");
         pinnedPages_ = &stats_.counter(name_ + ".degraded.pinnedPages");
         pinnedVictimOverrides_ =
@@ -414,7 +414,7 @@ class UvmMemoryManager
     {
         const auto want = static_cast<std::size_t>(
             static_cast<double>(frames_.capacity())
-            * detector_->config().pinFraction);
+            * DegradationConfig::kPinFraction);
         if (want == 0)
             return;
         // Touch stamps are unique, so the order lastTouch_ visits pages in

@@ -11,7 +11,7 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, const Trace &trace,
                      StatRegistry &stats, HpePolicy *hpe)
     : cfg_(cfg), trace_(trace), policy_(policy),
       uvm_(frames, policy, stats, "driver.uvm"),
-      pcie_(cfg.pcie, stats, "pcie"),
+      pcie_(stats, "pcie"),
       driver_(cfg.driver, uvm_, pcie_, eq_, stats, "driver", hpe),
       accesses_(stats.counter("gpu.lineAccesses")),
       eqScheduled_(stats.counter("gpu.eq.scheduled")),
@@ -23,7 +23,7 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, const Trace &trace,
       eqArenaNodes_(stats.counter("gpu.eq.arenaNodes")),
       eqArenaBytes_(stats.counter("gpu.eq.arenaBytes"))
 {
-    l2Tlb_ = std::make_unique<Tlb>(cfg_.l2Tlb, stats, "gpu.l2tlb");
+    l2Tlb_ = std::make_unique<Tlb>(GpuConfig::kL2Tlb, stats, "gpu.l2tlb");
     if (cfg_.walkerMode == WalkerMode::FixedLatency) {
         walker_ = std::make_unique<FixedLatencyWalker>(
             uvm_.pageTable(), cfg_.walkLatency, stats, "gpu.walker");
@@ -31,8 +31,8 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, const Trace &trace,
         walker_ = std::make_unique<MultiLevelWalker>(uvm_.pageTable(), stats,
                                                      "gpu.walker");
     }
-    l2d_ = std::make_unique<DataCache>(cfg_.l2d, stats, "gpu.l2d");
-    dram_ = std::make_unique<Dram>(cfg_.dram, eq_, stats, "gpu.dram");
+    l2d_ = std::make_unique<DataCache>(GpuConfig::kL2d, stats, "gpu.l2d");
+    dram_ = std::make_unique<Dram>(GpuConfig::kDram, eq_, stats, "gpu.dram");
 
     // HPE taps page-walk hits through the HIR cache beside the walker
     // (§IV-B).  The baseline policies instead get the paper's "ideal
@@ -65,24 +65,24 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, const Trace &trace,
         shootdownReissues_ = &stats.counter("gpu.shootdownReissues");
     }
     if (cfg_.degradation.enabled)
-        uvm_.enableDegradation(cfg_.degradation);
+        uvm_.enableDegradation();
     if (cfg_.validate) {
         validator_ = std::make_unique<StateValidator>(uvm_, stats, "validator");
         uvm_.setValidateHook([this] { validator_->check(); });
     }
 
-    sms_.resize(cfg_.numSms);
-    for (unsigned s = 0; s < cfg_.numSms; ++s) {
-        sms_[s].l1Tlb = std::make_unique<Tlb>(cfg_.l1Tlb, stats,
+    sms_.resize(GpuConfig::kNumSms);
+    for (unsigned s = 0; s < GpuConfig::kNumSms; ++s) {
+        sms_[s].l1Tlb = std::make_unique<Tlb>(GpuConfig::kL1Tlb, stats,
                                               "gpu.sm" + std::to_string(s) + ".l1tlb");
-        sms_[s].l1d = std::make_unique<DataCache>(cfg_.l1d, stats,
+        sms_[s].l1d = std::make_unique<DataCache>(GpuConfig::kL1d, stats,
                                                   "gpu.sm" + std::to_string(s) + ".l1d");
     }
 
-    const unsigned total_warps = cfg_.numSms * cfg_.warpsPerSm;
+    const unsigned total_warps = GpuConfig::kNumSms * GpuConfig::kWarpsPerSm;
     warps_.resize(total_warps);
     for (unsigned w = 0; w < total_warps; ++w)
-        warps_[w].smId = w % cfg_.numSms;
+        warps_[w].smId = w % GpuConfig::kNumSms;
 }
 
 void
@@ -135,8 +135,9 @@ GpuSystem::issueNext(Warp &warp)
     }
     const PageRef &ref = trace_.refs()[warp.refs[warp.refIdx]];
     // DataCache holds the line size to a power of two up to the page size.
-    const auto line_shift = static_cast<unsigned>(std::countr_zero(cfg_.l1d.lineBytes));
-    const std::uint64_t line_mask = (kPageBytes >> line_shift) - 1;
+    constexpr auto line_shift =
+        static_cast<unsigned>(std::countr_zero(GpuConfig::kL1d.lineBytes));
+    constexpr std::uint64_t line_mask = (kPageBytes >> line_shift) - 1;
     const Addr addr = addrOf(ref.page) + ((warp.lineIdx & line_mask) << line_shift);
     translate(warp, addr);
 }
@@ -234,7 +235,7 @@ GpuSystem::memAccess(Warp &warp, Addr addr)
         eq_.scheduleIn(sm.l1d->hitLatency(), [this, &warp] { finishAccess(warp); });
         return;
     }
-    eq_.scheduleIn(cfg_.l2d.hitLatency, [this, &warp, addr] {
+    eq_.scheduleIn(GpuConfig::kL2d.hitLatency, [this, &warp, addr] {
         if (l2d_->access(addr)) {
             finishAccess(warp);
             return;
@@ -250,12 +251,12 @@ GpuSystem::finishAccess(Warp &warp)
     ++accesses_;
 
     const PageRef &ref = trace_.refs()[warp.refs[warp.refIdx]];
-    Cycle gap = cfg_.intraBurstGap;
+    Cycle gap = GpuConfig::kIntraBurstGap;
     if (++warp.lineIdx >= ref.burst) {
         warp.lineIdx = 0;
         ++warp.refIdx;
         warp.visitFaulted = false;
-        gap = cfg_.computeGap;
+        gap = GpuConfig::kComputeGap;
         if (intervals_ != nullptr)
             intervals_->onReference();
     }
@@ -303,11 +304,7 @@ GpuSystem::run()
                          [this, &warp] { issueNext(warp); });
         }
 
-        while (!eq_.empty()) {
-            if (cfg_.maxCycles != 0 && eq_.now() > cfg_.maxCycles)
-                fatal("timing simulation exceeded maxCycles={}", cfg_.maxCycles);
-            eq_.step();
-        }
+        eq_.run();
         HPE_ASSERT(liveWarps_ == 0, "deadlock: {} warps never retired", liveWarps_);
     }
     if (intervals_ != nullptr)

@@ -52,33 +52,40 @@ enum class WalkerMode
     MultiLevel,
 };
 
-/** Table I configuration of the simulated GPU. */
+/**
+ * Table I configuration of the simulated GPU.  The machine itself is
+ * fixed (the k* constants); the fields are what an experiment varies.
+ */
 struct GpuConfig
 {
-    unsigned numSms = 15;
+    static constexpr unsigned kNumSms = 15;
     /**
      * Warps with a memory access in flight per SM.  Fermi runs up to 48
      * resident warps, but only a handful have an outstanding global-memory
-     * access at once; this is the effective memory-level parallelism knob.
+     * access at once; this is the effective memory-level parallelism.
      */
-    unsigned warpsPerSm = 8;
+    static constexpr unsigned kWarpsPerSm = 8;
     /** Compute cycles modelled between consecutive page visits. */
-    Cycle computeGap = 8;
+    static constexpr Cycle kComputeGap = 8;
     /** Cycles between line accesses of one burst. */
-    Cycle intraBurstGap = 1;
+    static constexpr Cycle kIntraBurstGap = 1;
 
-    TlbConfig l1Tlb = l1TlbConfig();
-    TlbConfig l2Tlb = l2TlbConfig();
+    /** Private per-SM L1 TLB: 128 entries, fully associative, 1 cycle. */
+    static constexpr TlbConfig kL1Tlb{.entries = 128, .ways = 128, .latency = 1,
+                                      .ports = 1};
+    /** Shared L2 TLB: 512 entries, 16-way, 10 cycles, 2 ports. */
+    static constexpr TlbConfig kL2Tlb{.entries = 512, .ways = 16, .latency = 10,
+                                      .ports = 2};
+    static constexpr DataCacheConfig kL1d{.sizeBytes = 16 * 1024, .ways = 4,
+                                          .lineBytes = 128, .hitLatency = 1};
+    static constexpr DataCacheConfig kL2d{.sizeBytes = 1536 * 1024, .ways = 8,
+                                          .lineBytes = 128, .hitLatency = 30};
+    /** 12-channel GDDR5 (DramConfig's defaults). */
+    static constexpr DramConfig kDram{};
+
     WalkerMode walkerMode = WalkerMode::FixedLatency;
     Cycle walkLatency = 8; ///< FixedLatency mode (paper: 8; sensitivity: 20)
 
-    DataCacheConfig l1d{.sizeBytes = 16 * 1024, .ways = 4, .lineBytes = 128,
-                        .hitLatency = 1};
-    DataCacheConfig l2d{.sizeBytes = 1536 * 1024, .ways = 8, .lineBytes = 128,
-                        .hitLatency = 30};
-
-    DramConfig dram{};
-    PcieConfig pcie{};
     DriverConfig driver{};
 
     /** Chaos-mode fault injection; disabled = byte-identical stat tree. */
@@ -89,9 +96,6 @@ struct GpuConfig
     bool validate = false;
     /** Multi-page-size axis; default 4 KiB-only attaches nothing. */
     PageSizeConfig pageSizes{};
-
-    /** Safety bound on simulated cycles (0 = unbounded). */
-    Cycle maxCycles = 0;
 };
 
 /** Results of one timing run. */

@@ -5,12 +5,6 @@
 
 namespace hpe {
 
-ClockProPolicy::ClockProPolicy(const ClockProConfig &cfg)
-    : cfg_(cfg)
-{
-    HPE_ASSERT(cfg.coldAllocation > 0, "cold allocation must be positive");
-}
-
 ClockProPolicy::~ClockProPolicy() = default;
 
 void
@@ -152,8 +146,8 @@ ClockProPolicy::selectVictim()
                 // Keep the resident cold allocation near m_c: a promotion
                 // that drops cold residency below target demotes a hot page
                 // (unless the whole population fits in the allocation).
-                if (numColdRes_ < cfg_.coldAllocation && numHot_ > 0
-                    && numHot_ + numColdRes_ > cfg_.coldAllocation)
+                if (numColdRes_ < kColdAllocation && numHot_ > 0
+                    && numHot_ + numColdRes_ > kColdAllocation)
                     runHandHot();
             } else {
                 // Referenced but past its test: recycle with a fresh test.
@@ -191,7 +185,7 @@ ClockProPolicy::onEvict(PageId page)
         // it will be promoted to hot.
         n.state = State::ColdNonResident;
         ++numColdNonRes_;
-        while (numColdNonRes_ > cfg_.maxNonResident)
+        while (numColdNonRes_ > kMaxNonResident)
             runHandTest();
     } else {
         unlink(n);
@@ -219,8 +213,8 @@ ClockProPolicy::onMigrateIn(PageId page)
         emitTransition(/*promotion=*/true, page);
         // Rebalance only when the hot set crowds out the cold allocation
         // (m_h = M - m_c); small populations keep their hot pages.
-        if (numColdRes_ < cfg_.coldAllocation
-            && numHot_ + numColdRes_ > cfg_.coldAllocation)
+        if (numColdRes_ < kColdAllocation
+            && numHot_ + numColdRes_ > kColdAllocation)
             runHandHot();
         return;
     }

@@ -28,20 +28,16 @@
 
 namespace hpe {
 
-/** Tuning knobs for ClockProPolicy. */
-struct ClockProConfig
-{
-    /** Target number of resident cold pages (paper: fixed 128). */
-    std::size_t coldAllocation = 128;
-    /** Upper bound on non-resident cold (test) metadata entries. */
-    std::size_t maxNonResident = 1u << 16;
-};
-
 /** CLOCK-Pro with the fixed cold allocation used in the HPE paper. */
 class ClockProPolicy : public EvictionPolicy
 {
   public:
-    explicit ClockProPolicy(const ClockProConfig &cfg = {});
+    /** Target number of resident cold pages, m_c (paper: fixed 128). */
+    static constexpr std::size_t kColdAllocation = 128;
+    /** Upper bound on non-resident cold (test) metadata entries. */
+    static constexpr std::size_t kMaxNonResident = 1u << 16;
+    static_assert(kColdAllocation > 0, "cold allocation must be positive");
+
     ~ClockProPolicy() override;
 
     void onHit(PageId page) override;
@@ -101,7 +97,6 @@ class ClockProPolicy : public EvictionPolicy
     /** Emit a hot/cold transition event if a sink is attached. */
     void emitTransition(bool promotion, PageId page);
 
-    ClockProConfig cfg_;
     trace::TraceSink *sink_ = nullptr;
     IntrusiveList<Node> clock_;
     /** Every tracked page (resident or test metadata) -> its node. */

@@ -23,47 +23,34 @@
 
 namespace hpe {
 
-/** Tuning knobs for DipPolicy. */
+/** DipPolicy's fixed duel geometry and its seed. */
 struct DipConfig
 {
     /** 1-in-N pages lead each insertion policy (by address hash). */
-    std::uint32_t leaderFraction = 32;
+    static constexpr std::uint32_t kLeaderFraction = 32;
     /** BIP inserts at MRU once in this many insertions. */
-    std::uint32_t bipEpsilonInverse = 32;
+    static constexpr std::uint32_t kBipEpsilonInverse = 32;
     /** Selector saturation (classic DIP uses 10 bits). */
-    std::uint32_t pselMax = 1024;
+    static constexpr std::uint32_t kPselMax = 1024;
     std::uint64_t seed = 1;
 
-    /** Validate invariants the selector arithmetic relies on. */
-    void
-    validate() const
-    {
-        // Rng::below(0) silently returns 0, which would turn BIP into
-        // always-MRU (i.e. plain LRU) instead of failing loudly.
-        HPE_ASSERT(bipEpsilonInverse >= 1,
-                   "BIP epsilon inverse must be at least 1");
-        // psel_ starts at pselMax/2 and the follower rule compares against
-        // pselMax/2; a non-power-of-two ceiling would leave the selector
-        // permanently off-center (the neutral point no longer splits the
-        // range evenly), silently biasing the duel toward BIP.
-        HPE_ASSERT(pselMax >= 2 && (pselMax & (pselMax - 1)) == 0,
-                   "psel ceiling {} must be a power of two >= 2", pselMax);
-        // Leader groups 0 and 1 must both exist and leave followers over.
-        HPE_ASSERT(leaderFraction >= 3,
-                   "leader fraction {} leaves no follower pages",
-                   leaderFraction);
-    }
+    // Rng::below(0) silently returns 0, which would turn BIP into
+    // always-MRU (i.e. plain LRU).
+    static_assert(kBipEpsilonInverse >= 1, "BIP epsilon inverse must be >= 1");
+    // psel_ starts at kPselMax/2 and the follower rule compares against
+    // kPselMax/2; a non-power-of-two ceiling would leave the selector
+    // off-center, silently biasing the duel toward BIP.
+    static_assert(kPselMax >= 2 && (kPselMax & (kPselMax - 1)) == 0,
+                  "psel ceiling must be a power of two >= 2");
+    // Leader groups 0 and 1 must both exist and leave followers over.
+    static_assert(kLeaderFraction >= 3, "leader fraction leaves no followers");
 };
 
 /** Set-dueling adaptive insertion over a page-level LRU chain. */
 class DipPolicy : public EvictionPolicy
 {
   public:
-    explicit DipPolicy(const DipConfig &cfg = {})
-        : cfg_(cfg), psel_(cfg.pselMax / 2), rng_(cfg.seed)
-    {
-        cfg_.validate();
-    }
+    explicit DipPolicy(const DipConfig &cfg = {}) : rng_(cfg.seed) {}
 
     void onHit(PageId page) override { chain_.moveToBack(page); }
 
@@ -74,7 +61,7 @@ class DipPolicy : public EvictionPolicy
         // BIP (increment), a BIP-leader fault argues for LRU (decrement).
         switch (groupOf(page)) {
           case Group::LruLeader:
-            if (psel_ < cfg_.pselMax)
+            if (psel_ < DipConfig::kPselMax)
                 ++psel_;
             break;
           case Group::BipLeader:
@@ -109,14 +96,14 @@ class DipPolicy : public EvictionPolicy
             insert_mru = true;
             break;
           case Group::BipLeader:
-            insert_mru = rng_.below(cfg_.bipEpsilonInverse) == 0;
+            insert_mru = rng_.below(DipConfig::kBipEpsilonInverse) == 0;
             break;
           case Group::Follower:
             // Follow the winner: a high selector means LRU leaders fault
             // more, so BIP wins.
-            insert_mru = psel_ < cfg_.pselMax / 2
+            insert_mru = psel_ < DipConfig::kPselMax / 2
                 ? true
-                : rng_.below(cfg_.bipEpsilonInverse) == 0;
+                : rng_.below(DipConfig::kBipEpsilonInverse) == 0;
             break;
         }
         if (insert_mru)
@@ -149,7 +136,7 @@ class DipPolicy : public EvictionPolicy
     {
         // Cheap address hash spreads leaders across the footprint.
         const std::uint64_t h = (page * 0x9e3779b97f4a7c15ULL) >> 32;
-        const std::uint64_t bucket = h % cfg_.leaderFraction;
+        const std::uint64_t bucket = h % DipConfig::kLeaderFraction;
         if (bucket == 0)
             return Group::LruLeader;
         if (bucket == 1)
@@ -157,8 +144,7 @@ class DipPolicy : public EvictionPolicy
         return Group::Follower;
     }
 
-    DipConfig cfg_;
-    std::uint32_t psel_;
+    std::uint32_t psel_ = DipConfig::kPselMax / 2;
     Rng rng_;
     /** LRU chain: front is the victim, back the MRU position. */
     DensePageChain chain_;

@@ -20,7 +20,7 @@ MetaPolicy::MetaPolicy(const MetaConfig &cfg,
     : cfg_(cfg), candidates_(std::move(candidates)),
       shadows_(candidates_.size())
 {
-    cfg_.validate(candidates_.size());
+    MetaConfig::validate(candidates_.size());
     for (const MetaCandidate &c : candidates_) {
         HPE_ASSERT(c.live != nullptr, "candidate '{}' has no live instance",
                    c.name);
@@ -28,8 +28,8 @@ MetaPolicy::MetaPolicy(const MetaConfig &cfg,
                    "dueling candidate '{}' has no shadow instance", c.name);
     }
     if (cfg_.selector == SelectorKind::Duel)
-        selector_ =
-            std::make_unique<DuelSelector>(candidates_.size(), cfg_.pselMax);
+        selector_ = std::make_unique<DuelSelector>(candidates_.size(),
+                                                   MetaConfig::kPselMax);
     else
         selector_ =
             std::make_unique<BanditSelector>(candidates_.size(), cfg_.seed);
@@ -101,7 +101,7 @@ MetaPolicy::reserveCapacity(std::size_t frames)
     for (MetaCandidate &c : candidates_) {
         c.live->reserveCapacity(frames);
         if (c.shadow != nullptr)
-            c.shadow->reserveCapacity(frames / cfg_.leaderFraction + 1);
+            c.shadow->reserveCapacity(frames / MetaConfig::kLeaderFraction + 1);
     }
 }
 
@@ -137,7 +137,7 @@ MetaPolicy::shadowReference(PageId page)
 {
     if (cfg_.selector != SelectorKind::Duel)
         return; // the bandit scores real intervals, not shadows
-    const std::uint64_t bucket = hashPage(page) % cfg_.leaderFraction;
+    const std::uint64_t bucket = hashPage(page) % MetaConfig::kLeaderFraction;
     if (bucket >= candidates_.size())
         return; // follower page: no shadow group
     const auto i = static_cast<std::size_t>(bucket);
@@ -150,11 +150,11 @@ MetaPolicy::shadowReference(PageId page)
     selector_->onShadowFault(i);
     policy.onFault(page);
     // The shadow frame budget scales with the true resident set: the
-    // group holds ~1/leaderFraction of the pages, so ~1/leaderFraction of
+    // group holds ~1/kLeaderFraction of the pages, so ~1/kLeaderFraction of
     // the frames models the same memory pressure.  liveResident_ only
     // grows until memory fills, so the budget never shrinks mid-run.
     const std::size_t budget =
-        std::max<std::size_t>(4, liveResident_ / cfg_.leaderFraction);
+        std::max<std::size_t>(4, liveResident_ / MetaConfig::kLeaderFraction);
     while (shadow.resident.size() >= budget) {
         const PageId victim = policy.selectVictim();
         policy.onEvict(victim);
@@ -167,11 +167,11 @@ MetaPolicy::shadowReference(PageId page)
 void
 MetaPolicy::maybeCloseInterval()
 {
-    if (refs_ % cfg_.intervalRefs != 0)
+    if (refs_ % MetaConfig::kIntervalRefs != 0)
         return;
-    // Every interval closes at exactly intervalRefs demand references.
+    // Every interval closes at exactly kIntervalRefs demand references.
     const double faultRate = static_cast<double>(intervalFaults_)
-                             / static_cast<double>(cfg_.intervalRefs);
+                             / static_cast<double>(MetaConfig::kIntervalRefs);
     intervalFaults_ = 0;
     const std::uint64_t interval = intervalsClosed_++;
     const std::size_t next = selector_->decide(faultRate, active_);

@@ -15,7 +15,7 @@
  *
  *  - For set dueling, each candidate additionally owns a *sampled shadow
  *    simulation*: a second instance of the candidate policy driven over a
- *    leader group of pages (1-in-leaderFraction by address hash) with a
+ *    leader group of pages (1-in-kLeaderFraction by address hash) with a
  *    proportionally scaled frame budget.  Shadow faults are what the duel
  *    counters compare — the honest generalization of DIP's leader sets,
  *    which measure each insertion policy on pages it actually governs.
@@ -44,34 +44,35 @@ namespace hpe::meta {
 /** Which selector a MetaPolicy instance uses. */
 enum class SelectorKind { Duel, Bandit };
 
-/** Tuning knobs of MetaPolicy. */
+/** MetaPolicy's selector and seed, and its fixed interval and duel sizes. */
 struct MetaConfig
 {
     SelectorKind selector = SelectorKind::Duel;
     /**
-     * Demand references per decision interval.  The default is sized so
-     * the phase slices of the MX* co-run schedules span several intervals
-     * even at the CI scale of 0.1 — a switch lag of one interval must be
-     * small against a phase, or adaptation can never pay for itself.
+     * Demand references per decision interval.  It is sized so the phase
+     * slices of the MX* co-run schedules span several intervals even at
+     * the CI scale of 0.1 — a switch lag of one interval must be small
+     * against a phase, or adaptation can never pay for itself.
      */
-    std::uint64_t intervalRefs = 256;
+    static constexpr std::uint64_t kIntervalRefs = 256;
     /** 1-in-N pages lead a candidate's shadow group (duel). */
-    std::uint32_t leaderFraction = 8;
+    static constexpr std::uint32_t kLeaderFraction = 8;
     /** Duel counter saturation ceiling. */
-    std::uint32_t pselMax = 1024;
+    static constexpr std::uint32_t kPselMax = 1024;
     /** Bandit exploration seed. */
     std::uint64_t seed = 1;
 
+    static_assert(kIntervalRefs > 0, "decision interval must be positive");
+    static_assert(kPselMax >= 2, "psel ceiling must be at least 2");
+
     /** Validate invariants for @p candidates hosted policies. */
-    void
-    validate(std::size_t candidates) const
+    static void
+    validate(std::size_t candidates)
     {
         HPE_ASSERT(candidates >= 2, "meta-policy needs >= 2 candidates");
-        HPE_ASSERT(intervalRefs > 0, "decision interval must be positive");
-        HPE_ASSERT(leaderFraction >= candidates,
+        HPE_ASSERT(kLeaderFraction >= candidates,
                    "leader fraction {} cannot seat {} leader groups",
-                   leaderFraction, candidates);
-        HPE_ASSERT(pselMax >= 2, "psel ceiling must be at least 2");
+                   kLeaderFraction, candidates);
     }
 };
 

@@ -9,10 +9,7 @@ namespace hpe {
 
 RripPolicy::RripPolicy(const RripConfig &cfg)
     : cfg_(cfg)
-{
-    HPE_ASSERT(cfg.rrpvBits >= 1 && cfg.rrpvBits <= 8,
-               "unreasonable RRPV width {}", cfg.rrpvBits);
-}
+{}
 
 void
 RripPolicy::onHit(PageId page)
@@ -35,7 +32,7 @@ PageId
 RripPolicy::selectVictim()
 {
     HPE_ASSERT(slotOf_.size() > 0, "RRIP victim request with no resident pages");
-    const unsigned max = maxRrpv();
+    const unsigned max = kMaxRrpv;
     // Pages outside their delay window: a prefix of the arrays.
     const std::size_t eligible = faultNumber_ < cfg_.delayThreshold
         ? 0
@@ -79,7 +76,7 @@ RripPolicy::selectVictim()
 void
 RripPolicy::age(unsigned rounds)
 {
-    const unsigned max = maxRrpv();
+    const unsigned max = kMaxRrpv;
     for (std::size_t i = 0; i < pages_.size(); ++i)
         if (pages_[i] != kInvalidId)
             rrpv_[i] = static_cast<std::uint8_t>(std::min(rrpv_[i] + rounds, max));
@@ -122,8 +119,8 @@ RripPolicy::onMigrateIn(PageId page)
     HPE_ASSERT(!slotOf_.contains(page), "double migrate-in of page {:#x}", page);
     slotOf_.insert(page, static_cast<std::uint32_t>(pages_.size()));
     pages_.push_back(page);
-    rrpv_.push_back(static_cast<std::uint8_t>(cfg_.distantInsertion ? maxRrpv()
-                                                                   : maxRrpv() - 1));
+    rrpv_.push_back(static_cast<std::uint8_t>(cfg_.distantInsertion ? kMaxRrpv
+                                                                    : kMaxRrpv - 1));
     inserted_.push_back(faultNumber_);
 }
 

@@ -40,7 +40,9 @@ namespace hpe {
 struct RripConfig
 {
     /** RRPV width in bits (max value = 2^bits - 1). */
-    unsigned rrpvBits = 2;
+    static constexpr unsigned kRrpvBits = 2;
+    static_assert(kRrpvBits >= 1 && kRrpvBits <= 8,
+                  "an RRPV fits one byte");
     /** Insert with distant (max) RRPV instead of long (max-1). */
     bool distantInsertion = false;
     /** Minimum page-fault-number margin before a page may be evicted. */
@@ -50,7 +52,7 @@ struct RripConfig
     static RripConfig
     thrashing()
     {
-        return RripConfig{.rrpvBits = 2, .distantInsertion = true, .delayThreshold = 128};
+        return RripConfig{.distantInsertion = true, .delayThreshold = 128};
     }
 };
 
@@ -77,7 +79,7 @@ class RripPolicy : public EvictionPolicy
   private:
     static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
-    unsigned maxRrpv() const { return (1u << cfg_.rrpvBits) - 1; }
+    static constexpr unsigned kMaxRrpv = (1u << RripConfig::kRrpvBits) - 1;
 
     /** Add @p rounds to every live RRPV, saturating at the maximum. */
     void age(unsigned rounds);

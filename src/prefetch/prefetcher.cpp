@@ -1,7 +1,5 @@
 #include "prefetch/prefetcher.hpp"
 
-#include <bit>
-
 #include "common/log.hpp"
 #include "prefetch/density_prefetcher.hpp"
 #include "prefetch/sequential_prefetcher.hpp"
@@ -39,24 +37,11 @@ allPrefetchKinds()
     return kinds;
 }
 
-void
-PrefetchConfig::validate() const
-{
-    HPE_ASSERT(blockPages > 0 && std::has_single_bit(std::uint64_t{blockPages}),
-               "prefetch block must be a power of two, got {}", blockPages);
-    HPE_ASSERT(basinPages >= 2 && basinPages <= 64,
-               "density basin must hold 2..64 pages, got {}", basinPages);
-    HPE_ASSERT(densityThreshold > 0.0 && densityThreshold <= 1.0,
-               "density threshold must be in (0,1], got {}", densityThreshold);
-    HPE_ASSERT(strideConfidence > 0, "stride confidence must be positive");
-}
-
 std::unique_ptr<Prefetcher>
 makePrefetcher(const PrefetchConfig &cfg)
 {
     if (cfg.kind == PrefetchKind::None)
         return nullptr;
-    cfg.validate();
     switch (cfg.kind) {
       case PrefetchKind::Sequential:
         return std::make_unique<SequentialPrefetcher>(cfg);

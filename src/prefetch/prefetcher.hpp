@@ -29,6 +29,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -53,22 +54,28 @@ std::optional<PrefetchKind> prefetchKindByName(std::string_view name);
 /** Every kind, in registration order (None first). */
 const std::vector<PrefetchKind> &allPrefetchKinds();
 
-/** Prefetcher selection + tuning knobs (carried inside DriverConfig). */
+/** Prefetcher selection and budget (carried inside DriverConfig). */
 struct PrefetchConfig
 {
     PrefetchKind kind = PrefetchKind::None;
     /** Candidate budget per serviced fault (window the driver examines). */
     unsigned degree = 4;
     /** Aligned block the sequential prefetcher stays within (pages). */
-    unsigned blockPages = 16;
+    static constexpr unsigned kBlockPages = 16;
     /** Basin size of the density prefetcher (16 x 4 KiB = 64 KiB). */
-    unsigned basinPages = 16;
+    static constexpr unsigned kBasinPages = 16;
     /** Faulted fraction of a basin that triggers the density fetch. */
-    double densityThreshold = 0.5;
+    static constexpr double kDensityThreshold = 0.5;
     /** Consecutive equal deltas before the stride prefetcher fires. */
-    unsigned strideConfidence = 2;
+    static constexpr unsigned kStrideConfidence = 2;
 
-    void validate() const;
+    static_assert(std::has_single_bit(kBlockPages),
+                  "prefetch block must be a power of two");
+    static_assert(kBasinPages >= 2 && kBasinPages <= 64,
+                  "a density basin's pages fit one 64-bit mask");
+    static_assert(kDensityThreshold > 0.0 && kDensityThreshold <= 1.0,
+                  "density threshold must be in (0, 1]");
+    static_assert(kStrideConfidence > 0, "stride confidence must be positive");
 };
 
 /**

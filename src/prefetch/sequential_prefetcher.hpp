@@ -1,7 +1,7 @@
 /**
  * @file
  * Sequential block prefetcher: after a demand fault on page p, propose the
- * next `degree` pages of p's aligned `blockPages` block.
+ * next `degree` pages of p's aligned PrefetchConfig::kBlockPages block.
  *
  * This is the NVIDIA driver's basic-block heuristic and replicates the
  * legacy inline loop of GpuDriver exactly: the window is `degree` pages
@@ -28,8 +28,8 @@ class SequentialPrefetcher final : public Prefetcher
                const ResidentFn & /*resident*/,
                std::vector<PageId> &out) override
     {
-        const PageId block_end =
-            (page / cfg_.blockPages + 1) * cfg_.blockPages;
+        constexpr unsigned block = PrefetchConfig::kBlockPages;
+        const PageId block_end = (page / block + 1) * block;
         PageId q = page + 1;
         for (unsigned n = 0; n < cfg_.degree && q < block_end; ++n, ++q)
             out.push_back(q);

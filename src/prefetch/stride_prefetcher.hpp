@@ -5,7 +5,7 @@
  * Each fault stream (a warp in the timing simulator, the single reference
  * stream in the functional simulator) carries a last-fault page, a
  * candidate stride, and a saturating confidence counter.  Two consecutive
- * equal deltas (configurable) arm the stream; an armed stream proposes
+ * equal deltas (PrefetchConfig::kStrideConfidence) arm the stream; an armed stream proposes
  * page + k*stride for k = 1..degree.  A mispredicted delta re-trains
  * immediately, so irregular streams degrade to no speculation rather
  * than to wrong speculation.
@@ -37,7 +37,7 @@ class StridePrefetcher final : public Prefetcher
             const std::int64_t delta = static_cast<std::int64_t>(page)
                                        - static_cast<std::int64_t>(s.lastPage);
             if (delta == s.stride && delta != 0) {
-                if (s.confidence < cfg_.strideConfidence)
+                if (s.confidence < PrefetchConfig::kStrideConfidence)
                     ++s.confidence;
             } else {
                 s.stride = delta;
@@ -47,7 +47,7 @@ class StridePrefetcher final : public Prefetcher
         s.lastPage = page;
         s.valid = true;
 
-        if (s.confidence < cfg_.strideConfidence)
+        if (s.confidence < PrefetchConfig::kStrideConfidence)
             return;
         std::int64_t q = static_cast<std::int64_t>(page);
         for (unsigned k = 0; k < cfg_.degree; ++k) {

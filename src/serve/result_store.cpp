@@ -243,7 +243,7 @@ ResultStore::openLocked(std::string &error)
     // compact before serving rather than carrying them forward.
     if (frames_ > 0
         && static_cast<double>(deadFrames_) / static_cast<double>(frames_)
-               > cfg_.compactDeadRatio)
+               > ResultStoreConfig::kCompactDeadRatio)
         compactLocked();
     return true;
 }
@@ -430,7 +430,7 @@ ResultStore::maybeRotateAndCompact()
         return;
     if (frames_ > 0
         && static_cast<double>(deadFrames_) / static_cast<double>(frames_)
-               > cfg_.compactDeadRatio) {
+               > ResultStoreConfig::kCompactDeadRatio) {
         compactLocked();
         return;
     }

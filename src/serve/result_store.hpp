@@ -58,7 +58,7 @@ struct ResultStoreConfig
     bool syncEveryAppend = false;
     /** Compact when dead frames (superseded + tombstoned) exceed this
      *  fraction of all frames, checked at rotation and open(). */
-    double compactDeadRatio = 0.5;
+    static constexpr double kCompactDeadRatio = 0.5;
     /** Take the exclusive flock on `<dir>/LOCK` at open().  Disabled
      *  only by ShardedResultStore when it migrates a legacy
      *  single-store journal out of a root directory whose lock it

@@ -621,7 +621,7 @@ Server::handleReadable(Connection &conn)
             // An oversized line turns into an error + close inside
             // processLines; check between reads so an endless stream
             // of newline-free bytes cannot grow the buffer unbounded.
-            if (conn.rbuf.size() > cfg_.maxLineBytes
+            if (conn.rbuf.size() > ServeConfig::kMaxLineBytes
                 && conn.rbuf.find('\n') == std::string::npos)
                 break;
             continue;
@@ -649,14 +649,14 @@ Server::processLines(Connection &conn)
     while (!conn.awaiting) {
         const std::size_t newline = conn.rbuf.find('\n');
         if (newline == std::string::npos) {
-            if (conn.rbuf.size() > cfg_.maxLineBytes && !conn.closing) {
+            if (conn.rbuf.size() > ServeConfig::kMaxLineBytes && !conn.closing) {
                 ++errors_;
                 enqueueResponse(
                     conn,
                     errorResponse(
                         protocol::kVersionLegacy, protocol::kErrOversized,
                         strformat("request line exceeds {} bytes",
-                                  cfg_.maxLineBytes)));
+                                  ServeConfig::kMaxLineBytes)));
                 conn.rbuf.clear();
                 conn.closing = true;
                 ::shutdown(conn.fd, SHUT_RD);

@@ -111,7 +111,7 @@ struct ServeConfig
     std::size_t shedRejectDepth = 0;
     /** Longest accepted request line; longer ones get an error and a
      *  close (a stream with no newline is not a client). */
-    std::size_t maxLineBytes = 1u << 20;
+    static constexpr std::size_t kMaxLineBytes = 1u << 20;
 };
 
 /** The admission tiers of the load-shedding path, mildest first. */

@@ -114,7 +114,7 @@ runPaging(const Trace &trace, EvictionPolicy &policy, std::size_t frames,
     if (opts.pageSizes.active())
         uvm.enablePageSizes(opts.pageSizes);
     if (opts.degradation.enabled)
-        uvm.enableDegradation(opts.degradation);
+        uvm.enableDegradation();
     std::unique_ptr<StateValidator> validator;
     if (opts.validate) {
         validator = std::make_unique<StateValidator>(uvm, stats, "validator");

@@ -17,7 +17,8 @@
 
 namespace hpe {
 
-/** Geometry, latency and port count of one TLB level. */
+/** Geometry, latency and port count of one TLB level (Table I's are
+ *  GpuConfig::kL1Tlb and GpuConfig::kL2Tlb). */
 struct TlbConfig
 {
     std::size_t entries = 128;
@@ -25,20 +26,6 @@ struct TlbConfig
     Cycle latency = 1;
     std::size_t ports = 1;
 };
-
-/** Table I defaults for the per-SM private L1 TLB. */
-inline TlbConfig
-l1TlbConfig()
-{
-    return TlbConfig{.entries = 128, .ways = 128, .latency = 1, .ports = 1};
-}
-
-/** Table I defaults for the shared L2 TLB. */
-inline TlbConfig
-l2TlbConfig()
-{
-    return TlbConfig{.entries = 512, .ways = 16, .latency = 10, .ports = 2};
-}
 
 /**
  * A single TLB level holding page translations with LRU replacement.

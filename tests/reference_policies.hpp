@@ -137,10 +137,7 @@ class RripPolicy : public EvictionPolicy
   public:
     explicit RripPolicy(const RripConfig &cfg = {})
         : cfg_(cfg)
-    {
-        HPE_ASSERT(cfg.rrpvBits >= 1 && cfg.rrpvBits <= 8,
-                   "unreasonable RRPV width {}", cfg.rrpvBits);
-    }
+    {}
 
     void
     onHit(PageId page) override
@@ -229,7 +226,7 @@ class RripPolicy : public EvictionPolicy
         std::uint64_t delay = 0; ///< global fault number at insertion
     };
 
-    unsigned maxRrpv() const { return (1u << cfg_.rrpvBits) - 1; }
+    unsigned maxRrpv() const { return (1u << RripConfig::kRrpvBits) - 1; }
 
     RripConfig cfg_;
     std::uint64_t faultNumber_ = 0;
@@ -324,10 +321,8 @@ class DipPolicy : public EvictionPolicy
 {
   public:
     explicit DipPolicy(const DipConfig &cfg = {})
-        : cfg_(cfg), psel_(cfg.pselMax / 2), rng_(cfg.seed)
-    {
-        cfg_.validate();
-    }
+        : psel_(DipConfig::kPselMax / 2), rng_(cfg.seed)
+    {}
 
     void
     onHit(PageId page) override
@@ -344,7 +339,7 @@ class DipPolicy : public EvictionPolicy
         // BIP (increment), a BIP-leader fault argues for LRU (decrement).
         switch (groupOf(page)) {
           case Group::LruLeader:
-            if (psel_ < cfg_.pselMax)
+            if (psel_ < DipConfig::kPselMax)
                 ++psel_;
             break;
           case Group::BipLeader:
@@ -383,14 +378,14 @@ class DipPolicy : public EvictionPolicy
             insert_mru = true;
             break;
           case Group::BipLeader:
-            insert_mru = rng_.below(cfg_.bipEpsilonInverse) == 0;
+            insert_mru = rng_.below(DipConfig::kBipEpsilonInverse) == 0;
             break;
           case Group::Follower:
             // Follow the winner: a high selector means LRU leaders fault
             // more, so BIP wins.
-            insert_mru = psel_ < cfg_.pselMax / 2
+            insert_mru = psel_ < DipConfig::kPselMax / 2
                 ? true
-                : rng_.below(cfg_.bipEpsilonInverse) == 0;
+                : rng_.below(DipConfig::kBipEpsilonInverse) == 0;
             break;
         }
         if (insert_mru)
@@ -430,7 +425,7 @@ class DipPolicy : public EvictionPolicy
     {
         // Cheap address hash spreads leaders across the footprint.
         const std::uint64_t h = (page * 0x9e3779b97f4a7c15ULL) >> 32;
-        const std::uint64_t bucket = h % cfg_.leaderFraction;
+        const std::uint64_t bucket = h % DipConfig::kLeaderFraction;
         if (bucket == 0)
             return Group::LruLeader;
         if (bucket == 1)
@@ -438,7 +433,6 @@ class DipPolicy : public EvictionPolicy
         return Group::Follower;
     }
 
-    DipConfig cfg_;
     std::uint32_t psel_;
     Rng rng_;
     IntrusiveList<Node> chain_;

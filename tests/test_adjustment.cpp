@@ -66,7 +66,7 @@ TEST_F(AdjustmentTest, RegularJumpsSearchPointOnThreshold)
     ctl_.start(classified(Category::Regular), 0);
     EXPECT_EQ(ctl_.searchOffset(), 0u);
     wrongEvictions(cfg_.wrongEvictionThreshold);
-    EXPECT_EQ(ctl_.searchOffset(), cfg_.searchJump);
+    EXPECT_EQ(ctl_.searchOffset(), HpeConfig::kSearchJump);
     EXPECT_EQ(ctl_.strategy(), Strategy::MruC); // strategy unchanged
 }
 
@@ -75,7 +75,7 @@ TEST_F(AdjustmentTest, RegularJumpsAccumulate)
     ctl_.start(classified(Category::Regular), 0);
     wrongEvictions(cfg_.wrongEvictionThreshold, 1000);
     wrongEvictions(cfg_.wrongEvictionThreshold, 2000);
-    EXPECT_EQ(ctl_.searchOffset(), 2 * cfg_.searchJump);
+    EXPECT_EQ(ctl_.searchOffset(), 2 * HpeConfig::kSearchJump);
 }
 
 TEST_F(AdjustmentTest, SmallFootprintGuardBlocksJump)

@@ -61,7 +61,7 @@ TEST_F(ChainTest, CounterSaturates)
 {
     ChainEntry *e = chain_.touch(0, 60, true).entry;
     chain_.touch(0, 60, true);
-    EXPECT_EQ(e->counter, cfg_.counterMax);
+    EXPECT_EQ(e->counter, HpeConfig::kCounterMax);
 }
 
 TEST_F(ChainTest, NewEntriesOrderedMruAtBack)
@@ -135,7 +135,7 @@ TEST_F(ChainTest, NoDivisionWhenFullyPopulated)
         chain_.touch(off, 4, true); // counter 64, all bits set
     ChainEntry *e = chain_.find(0, false);
     ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(e->counter == cfg_.counterMax);
+    EXPECT_TRUE(e->counter == HpeConfig::kCounterMax);
     EXPECT_FALSE(e->divided);
 }
 
@@ -250,7 +250,6 @@ TEST(ChainConfig, PageSetSizeThirtyTwoWorks)
     StatRegistry stats;
     HpeConfig cfg;
     cfg.pageSetSize = 32;
-    cfg.counterMax = 64;
     PageSetChain chain(cfg, stats, "c");
     chain.touch(33, 1, true);
     EXPECT_NE(chain.find(1, false), nullptr);

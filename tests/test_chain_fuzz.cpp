@@ -33,7 +33,7 @@ checkChainInvariants(PageSetChain &chain)
             // No duplicate (set, secondary) keys anywhere on the chain.
             ASSERT_TRUE(seen.insert(ChainEntry::keyOf(e.set, e.secondary)).second);
             // Counters never exceed the ceiling.
-            ASSERT_LE(e.counter, HpeConfig{}.counterMax);
+            ASSERT_LE(e.counter, HpeConfig::kCounterMax);
             // A divided primary's mask is a nonempty strict subset.
             if (e.divided && !e.secondary) {
                 ASSERT_NE(e.primaryMask, 0u);

@@ -50,7 +50,7 @@ TEST_F(ClassifierTest, LargeRegularCountersAreIrregular1)
     const auto r = classify(cfg_, chain_);
     EXPECT_EQ(r.category, Category::Irregular1);
     EXPECT_GE(r.ratio2, 2.0);
-    EXPECT_LE(r.ratio1, cfg_.ratio1Threshold);
+    EXPECT_LE(r.ratio1, HpeConfig::kRatio1Threshold);
 }
 
 TEST_F(ClassifierTest, IrregularCountersAreIrregular2)
@@ -59,7 +59,7 @@ TEST_F(ClassifierTest, IrregularCountersAreIrregular2)
     addSets(50, 16);
     const auto r = classify(cfg_, chain_);
     EXPECT_EQ(r.category, Category::Irregular2);
-    EXPECT_GT(r.ratio1, cfg_.ratio1Threshold);
+    EXPECT_GT(r.ratio1, HpeConfig::kRatio1Threshold);
 }
 
 TEST_F(ClassifierTest, ThresholdBoundaryExactlyPointThreeIsRegular)

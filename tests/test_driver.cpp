@@ -94,15 +94,15 @@ TEST(UvmManager, FrameReuseAfterEviction)
 
 TEST(Pcie, TransferLatencyMatchesBandwidth)
 {
-    PcieConfig cfg{.bandwidthGBs = 16.0};
     // 16 GB/s at 1.4 GHz = 11.43 B/cycle; 4 KB page ~ 358 cycles.
-    EXPECT_NEAR(static_cast<double>(cfg.cyclesForBytes(4096)), 358.0, 1.0);
+    EXPECT_EQ(PcieLink::kBandwidthGBs, 16.0);
+    EXPECT_NEAR(static_cast<double>(PcieLink::cyclesForBytes(4096)), 358.0, 1.0);
 }
 
 TEST(Pcie, LinkOccupancySerializes)
 {
     StatRegistry stats;
-    PcieLink link(PcieConfig{}, stats, "pcie");
+    PcieLink link(stats, "pcie");
     const Cycle t1 = link.transfer(0, 4096);
     const Cycle t2 = link.transfer(0, 4096);
     EXPECT_EQ(t2, 2 * t1); // second transfer waits for the first
@@ -111,22 +111,22 @@ TEST(Pcie, LinkOccupancySerializes)
 TEST(Pcie, IdleLinkStartsImmediately)
 {
     StatRegistry stats;
-    PcieLink link(PcieConfig{}, stats, "pcie");
+    PcieLink link(stats, "pcie");
     link.transfer(0, 1024);
     const Cycle done = link.transfer(100000, 1024);
-    EXPECT_EQ(done, 100000 + PcieConfig{}.cyclesForBytes(1024));
+    EXPECT_EQ(done, 100000 + PcieLink::cyclesForBytes(1024));
 }
 
 TEST(Pcie, MinimumOneCycle)
 {
-    EXPECT_GE(PcieConfig{}.cyclesForBytes(1), 1u);
+    EXPECT_GE(PcieLink::cyclesForBytes(1), 1u);
 }
 
 class DriverTest : public ::testing::Test
 {
   protected:
     DriverTest()
-        : uvm_(8, lru_, stats_, "uvm"), pcie_(PcieConfig{}, stats_, "pcie"),
+        : uvm_(8, lru_, stats_, "uvm"), pcie_(stats_, "pcie"),
           driver_(cfg_, uvm_, pcie_, eq_, stats_, "drv")
     {}
 
@@ -144,7 +144,7 @@ TEST_F(DriverTest, FaultServiceTakesFixedLatency)
     Cycle woke = 0;
     driver_.requestPage(3, [&] { woke = eq_.now(); });
     eq_.run();
-    EXPECT_EQ(woke, cfg_.faultServiceCycles);
+    EXPECT_EQ(woke, DriverConfig::kFaultServiceCycles);
     EXPECT_TRUE(uvm_.resident(3));
 }
 
@@ -168,7 +168,8 @@ TEST_F(DriverTest, PipelinedServiceInitiation)
     ASSERT_EQ(completions.size(), 2u);
     // Second start is staggered by the initiation interval, not by the
     // full service latency.
-    EXPECT_EQ(completions[1] - completions[0], cfg_.serviceInitiationCycles);
+    EXPECT_EQ(completions[1] - completions[0],
+              DriverConfig::kServiceInitiationCycles);
 }
 
 TEST_F(DriverTest, BusyCyclesAccumulatePerFault)
@@ -176,7 +177,7 @@ TEST_F(DriverTest, BusyCyclesAccumulatePerFault)
     driver_.requestPage(1, [] {});
     driver_.requestPage(2, [] {});
     eq_.run();
-    EXPECT_EQ(driver_.busyCycles(), 2 * cfg_.serviceInitiationCycles);
+    EXPECT_EQ(driver_.busyCycles(), 2 * DriverConfig::kServiceInitiationCycles);
 }
 
 TEST_F(DriverTest, SequentialFaultsBothServiced)
@@ -205,16 +206,18 @@ TEST(DriverSlots, RefaultBeforeWakeupGetsFreshSlot)
     // writes it back, and a backlog on the link holds page 1's wakeup
     // until long after page 2's service has evicted page 1 again.
     const DriverConfig cfg{};
+    constexpr Cycle service = DriverConfig::kFaultServiceCycles;
+    constexpr Cycle gap = DriverConfig::kServiceInitiationCycles;
     StatRegistry stats;
     LruPolicy lru;
     EventQueue eq;
     UvmMemoryManager uvm(1, lru, stats, "uvm");
-    PcieLink pcie(PcieConfig{}, stats, "pcie");
+    PcieLink pcie(stats, "pcie");
     GpuDriver driver(cfg, uvm, pcie, eq, stats, "drv");
     uvm.handleFault(0);
     uvm.markDirty(0);
     const Cycle backlog = pcie.transfer(0, 1 << 20);
-    ASSERT_GT(backlog, 2 * (cfg.faultServiceCycles + cfg.serviceInitiationCycles));
+    ASSERT_GT(backlog, 2 * (service + gap));
 
     std::vector<std::pair<std::string, Cycle>> woke;
     const auto waiter = [&](std::string tag) {
@@ -226,7 +229,7 @@ TEST(DriverSlots, RefaultBeforeWakeupGetsFreshSlot)
     // Page 1 was serviced (its wakeup waits on the link) and then evicted
     // by page 2's service: it faults again and must not merge into the
     // first service, whose slot is still waiting to wake.
-    const Cycle refault = cfg.faultServiceCycles + 2 * cfg.serviceInitiationCycles;
+    const Cycle refault = service + 2 * gap;
     eq.schedule(refault, [&] {
         ASSERT_FALSE(uvm.resident(1));
         ASSERT_EQ(driver.pending(), 0u);
@@ -236,10 +239,10 @@ TEST(DriverSlots, RefaultBeforeWakeupGetsFreshSlot)
     });
     eq.run();
 
-    const Cycle second = refault + cfg.faultServiceCycles;
-    const Cycle first = backlog + pcie.config().cyclesForBytes(kPageBytes);
+    const Cycle second = refault + service;
+    const Cycle first = backlog + PcieLink::cyclesForBytes(kPageBytes);
     const std::vector<std::pair<std::string, Cycle>> expected = {
-        {"2", cfg.faultServiceCycles + cfg.serviceInitiationCycles},
+        {"2", service + gap},
         {"1b", second},
         {"1b'", second},
         {"1a", first},

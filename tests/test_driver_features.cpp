@@ -107,7 +107,7 @@ class PrefetchTest : public ::testing::Test
 {
   protected:
     PrefetchTest()
-        : uvm_(64, lru_, stats_, "uvm"), pcie_(PcieConfig{}, stats_, "pcie")
+        : uvm_(64, lru_, stats_, "uvm"), pcie_(stats_, "pcie")
     {
         cfg_.prefetch = {.kind = prefetch::PrefetchKind::Sequential,
                          .degree = 4};
@@ -182,23 +182,25 @@ TEST(PrefetchTiming, CutsStreamingFaultsAtLowConcurrency)
     // With hundreds of concurrent warps the demand faults for a block
     // all queue before the first completes, so sequential prefetch has no
     // window (the realistic fault-storm case).  At low memory-level
-    // parallelism — one warp streaming — every block costs one fault
-    // instead of sixteen.
+    // parallelism — one stream — every block costs one fault instead of
+    // sixteen.  Each visit is its own kernel, so the kernel barrier keeps
+    // a single visit in flight.
     Trace t("S", "stream", "synthetic", PatternType::I);
-    for (PageId p = 0; p < 256; ++p)
+    for (PageId p = 0; p < 256; ++p) {
+        t.beginKernel();
         t.add(p, 4);
+    }
     RunConfig off, on;
     // No capacity pressure: the prefetcher never evicts, so it only works
     // while free frames remain.
     off.oversub = on.oversub = 1.0;
-    off.gpu.numSms = on.gpu.numSms = 1;
-    off.gpu.warpsPerSm = on.gpu.warpsPerSm = 1;
     on.gpu.driver.prefetch = {.kind = prefetch::PrefetchKind::Sequential,
                               .degree = 15};
     const auto base = runTiming(t, PolicyKind::Lru, off);
     const auto pf = runTiming(t, PolicyKind::Lru, on);
     EXPECT_EQ(base.faults, 256u);
-    EXPECT_EQ(pf.faults, 16u); // one demand fault per 16-page block
+    // One demand fault per 16-page block.
+    EXPECT_EQ(pf.faults, 256u / prefetch::PrefetchConfig::kBlockPages);
     EXPECT_GT(pf.ipc, base.ipc);
 }
 
@@ -208,10 +210,9 @@ TEST(Batching, BatchedFaultsServicedTogether)
     LruPolicy lru;
     EventQueue eq;
     UvmMemoryManager uvm(16, lru, stats, "uvm");
-    PcieLink pcie(PcieConfig{}, stats, "pcie");
+    PcieLink pcie(stats, "pcie");
     DriverConfig cfg;
     cfg.batchSize = 4;
-    cfg.batchTimeoutCycles = 1000;
     GpuDriver driver(cfg, uvm, pcie, eq, stats, "drv");
 
     std::vector<Cycle> done;
@@ -221,7 +222,7 @@ TEST(Batching, BatchedFaultsServicedTogether)
     ASSERT_EQ(done.size(), 4u);
     // The batch launched when it filled (no timeout wait): first fault
     // completes at the service latency.
-    EXPECT_EQ(done.front(), cfg.faultServiceCycles);
+    EXPECT_EQ(done.front(), DriverConfig::kFaultServiceCycles);
 }
 
 TEST(Batching, PartialBatchFlushesOnTimeout)
@@ -230,17 +231,17 @@ TEST(Batching, PartialBatchFlushesOnTimeout)
     LruPolicy lru;
     EventQueue eq;
     UvmMemoryManager uvm(16, lru, stats, "uvm");
-    PcieLink pcie(PcieConfig{}, stats, "pcie");
+    PcieLink pcie(stats, "pcie");
     DriverConfig cfg;
     cfg.batchSize = 8;
-    cfg.batchTimeoutCycles = 500;
     GpuDriver driver(cfg, uvm, pcie, eq, stats, "drv");
 
     Cycle done = 0;
     driver.requestPage(1, [&] { done = eq.now(); });
     eq.run();
     // One fault alone: waits the flush timeout, then the full service.
-    EXPECT_EQ(done, cfg.batchTimeoutCycles + cfg.faultServiceCycles);
+    EXPECT_EQ(done,
+              DriverConfig::kBatchTimeoutCycles + DriverConfig::kFaultServiceCycles);
 }
 
 TEST(Batching, DefaultBatchSizeOneIsImmediate)
@@ -249,12 +250,12 @@ TEST(Batching, DefaultBatchSizeOneIsImmediate)
     LruPolicy lru;
     EventQueue eq;
     UvmMemoryManager uvm(16, lru, stats, "uvm");
-    PcieLink pcie(PcieConfig{}, stats, "pcie");
+    PcieLink pcie(stats, "pcie");
     GpuDriver driver(DriverConfig{}, uvm, pcie, eq, stats, "drv");
     Cycle done = 0;
     driver.requestPage(1, [&] { done = eq.now(); });
     eq.run();
-    EXPECT_EQ(done, DriverConfig{}.faultServiceCycles);
+    EXPECT_EQ(done, DriverConfig::kFaultServiceCycles);
 }
 
 TEST(Batching, TimingRunWithBatchingCompletes)

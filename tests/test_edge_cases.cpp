@@ -212,7 +212,7 @@ TEST(EdgeGeometry, OneFramePoolUnderEveryPolicy)
 TEST(PcieEdge, ZeroByteTransferIsANoOp)
 {
     StatRegistry stats;
-    PcieLink link(PcieConfig{}, stats, "p");
+    PcieLink link(stats, "p");
 #ifdef NDEBUG
     // Release builds: no link hold, no transfer counted.
     link.transfer(0, kPageBytes);

@@ -105,14 +105,13 @@ TEST(MetaDuel, ConvergesToRripUnderThrashThenBackToLru)
 {
     MetaConfig cfg;
     cfg.selector = SelectorKind::Duel;
-    cfg.intervalRefs = 64;
     MetaPolicy policy(cfg, lruVsRrip());
     ASSERT_EQ(policy.activeIndex(), 0u); // starts on LRU
 
     // Cyclic thrash over 60 pages with 40 frames: LRU's shadow faults on
     // everything, RRIP's retains a subset -> the duel must hand victim
-    // selection to RRIP.
-    const auto thrashing = twoPhaseTrace(60, 12, 0, 0);
+    // selection to RRIP.  48 passes span eleven 256-reference intervals.
+    const auto thrashing = twoPhaseTrace(60, 48, 0, 0);
     replay(policy, thrashing, 40);
     EXPECT_EQ(policy.candidateNames()[policy.activeIndex()], "RRIP");
     EXPECT_GE(policy.switches(), 1u);
@@ -130,8 +129,7 @@ TEST(MetaDuel, EqualRunsProduceEqualDecisionLogs)
 {
     MetaConfig cfg;
     cfg.selector = SelectorKind::Duel;
-    cfg.intervalRefs = 64;
-    const auto refs = twoPhaseTrace(60, 8, 12, 40);
+    const auto refs = twoPhaseTrace(60, 32, 12, 160);
     MetaPolicy a(cfg, lruVsRrip());
     MetaPolicy b(cfg, lruVsRrip());
     replay(a, refs, 40);
@@ -142,7 +140,7 @@ TEST(MetaDuel, EqualRunsProduceEqualDecisionLogs)
 
 TEST(MetaBandit, EqualSeedsGiveEqualDecisionLogs)
 {
-    const auto refs = twoPhaseTrace(60, 10, 12, 60);
+    const auto refs = twoPhaseTrace(60, 40, 12, 240);
     auto roster = [] {
         std::vector<MetaCandidate> cands;
         cands.push_back(candidate("LRU", std::make_unique<LruPolicy>()));
@@ -153,7 +151,6 @@ TEST(MetaBandit, EqualSeedsGiveEqualDecisionLogs)
     };
     MetaConfig cfg;
     cfg.selector = SelectorKind::Bandit;
-    cfg.intervalRefs = 64;
     cfg.seed = 7;
     MetaPolicy a(cfg, roster());
     MetaPolicy b(cfg, roster());
@@ -181,13 +178,13 @@ TEST(MetaBandit, ColdStartDecisionsCarryIntervalFaultRates)
     cands.push_back(candidate("CLOCK", std::make_unique<ClockPolicy>()));
     MetaConfig cfg;
     cfg.selector = SelectorKind::Bandit;
-    cfg.intervalRefs = 64;
     MetaPolicy policy(cfg, std::move(cands));
 
+    constexpr std::uint64_t interval = MetaConfig::kIntervalRefs;
     std::vector<PageId> refs;
-    for (PageId i = 0; i < 64; ++i)
+    for (PageId i = 0; i < interval; ++i)
         refs.push_back(i % 8);
-    for (PageId i = 0; i < 64; ++i)
+    for (PageId i = 0; i < interval; ++i)
         refs.push_back(100 + i % 24);
     // Memory never fills, so every fault is a cold miss.
     std::unordered_set<PageId> resident;
@@ -198,7 +195,7 @@ TEST(MetaBandit, ColdStartDecisionsCarryIntervalFaultRates)
             policy.onHit(p);
             continue;
         }
-        ++faults[i / cfg.intervalRefs];
+        ++faults[i / interval];
         policy.onFault(p);
         resident.insert(p);
         policy.onMigrateIn(p);
@@ -209,12 +206,14 @@ TEST(MetaBandit, ColdStartDecisionsCarryIntervalFaultRates)
     for (std::size_t k = 0; k < 2; ++k) {
         const MetaPolicy::Decision &d = policy.decisions()[k];
         EXPECT_EQ(d.interval, k);
-        EXPECT_EQ(d.atRef, 64u * (k + 1));
+        EXPECT_EQ(d.atRef, interval * (k + 1));
         EXPECT_EQ(d.from, k);
         EXPECT_EQ(d.to, k + 1);
         EXPECT_EQ(d.metricFrom,
                   static_cast<std::uint64_t>(
-                      (1.0 - static_cast<double>(faults[k]) / 64.0) * 1e6))
+                      (1.0 - static_cast<double>(faults[k])
+                                 / static_cast<double>(interval))
+                      * 1e6))
             << "decision " << k;
         EXPECT_EQ(d.metricTo, 0u); // the next arm has not run yet
     }
@@ -230,7 +229,6 @@ TEST(MetaPolicy, TrackedResidencyMatchesDriverAcross200Trials)
         MetaConfig cfg;
         cfg.selector =
             trial % 2 == 0 ? SelectorKind::Duel : SelectorKind::Bandit;
-        cfg.intervalRefs = 16 + rng.below(64);
         cfg.seed = trial;
         std::vector<MetaCandidate> cands;
         cands.push_back(candidate("LRU", std::make_unique<LruPolicy>(),
@@ -245,7 +243,9 @@ TEST(MetaPolicy, TrackedResidencyMatchesDriverAcross200Trials)
         const std::size_t frames = 4 + rng.below(28);
         const std::size_t span = frames + 1 + rng.below(60);
         std::unordered_set<PageId> resident;
-        for (unsigned step = 0; step < 400; ++step) {
+        // Six decision intervals per trial.
+        constexpr unsigned steps = 6 * MetaConfig::kIntervalRefs;
+        for (unsigned step = 0; step < steps; ++step) {
             const PageId p = rng.below(span);
             if (resident.contains(p)) {
                 policy.onHit(p);
@@ -261,7 +261,7 @@ TEST(MetaPolicy, TrackedResidencyMatchesDriverAcross200Trials)
                 resident.insert(p);
                 policy.onMigrateIn(p);
             }
-            if (step % 64 == 0 || step == 399) {
+            if (step % 64 == 0 || step == steps - 1) {
                 const auto tracked = policy.trackedResidentPages();
                 ASSERT_TRUE(tracked.has_value());
                 std::vector<PageId> got = *tracked;
@@ -285,30 +285,9 @@ TEST(MetaPolicy, ValidationRejectsBadConfigs)
                                       std::make_unique<LruPolicy>()));
         MetaPolicy p(cfg, std::move(cands));
     };
-    MetaConfig solo;
-    EXPECT_DEATH(build(solo, 1), "candidates");
-    MetaConfig zeroInterval;
-    zeroInterval.intervalRefs = 0;
-    EXPECT_DEATH(build(zeroInterval, 2), "interval");
-    MetaConfig thinLeaders;
-    thinLeaders.leaderFraction = 1;
-    EXPECT_DEATH(build(thinLeaders, 2), "leader");
-}
-
-TEST(Dip, ValidationRejectsDegenerateConfigs)
-{
-    // bipEpsilonInverse = 0 would silently turn BIP into always-MRU
-    // (Rng::below(0) returns 0), making the duel meaningless.
-    DipConfig zeroEps;
-    zeroEps.bipEpsilonInverse = 0;
-    EXPECT_DEATH(DipPolicy{zeroEps}, "BIP epsilon");
-    // A non-power-of-two ceiling leaves the selector off-center.
-    DipConfig oddPsel;
-    oddPsel.pselMax = 1000;
-    EXPECT_DEATH(DipPolicy{oddPsel}, "power of two");
-    DipConfig noFollowers;
-    noFollowers.leaderFraction = 2;
-    EXPECT_DEATH(DipPolicy{noFollowers}, "follower");
+    EXPECT_DEATH(build(MetaConfig{}, 1), "candidates");
+    // One leader group per candidate must fit the 1-in-8 leader pages.
+    EXPECT_DEATH(build(MetaConfig{}, MetaConfig::kLeaderFraction + 1), "leader");
 }
 
 TEST(MetaPolicy, GaugesAppearInIntervalTimeline)

@@ -138,7 +138,7 @@ TEST(Random, CoversThePopulation)
 
 TEST(Rrip, EvictsDistantInsertedPage)
 {
-    RripPolicy rrip({.rrpvBits = 2, .distantInsertion = true, .delayThreshold = 0});
+    RripPolicy rrip({.distantInsertion = true, .delayThreshold = 0});
     rrip.onFault(1);
     rrip.onMigrateIn(1);
     rrip.onFault(2);
@@ -148,7 +148,7 @@ TEST(Rrip, EvictsDistantInsertedPage)
 
 TEST(Rrip, HitPromotionProtectsPage)
 {
-    RripPolicy rrip({.rrpvBits = 2, .distantInsertion = true, .delayThreshold = 0});
+    RripPolicy rrip({.distantInsertion = true, .delayThreshold = 0});
     for (PageId p : {1, 2}) {
         rrip.onFault(p);
         rrip.onMigrateIn(p);
@@ -159,7 +159,7 @@ TEST(Rrip, HitPromotionProtectsPage)
 
 TEST(Rrip, AgingFindsVictimWhenNoneDistant)
 {
-    RripPolicy rrip({.rrpvBits = 2, .distantInsertion = false, .delayThreshold = 0});
+    RripPolicy rrip({.distantInsertion = false, .delayThreshold = 0});
     for (PageId p : {1, 2, 3}) {
         rrip.onFault(p);
         rrip.onMigrateIn(p);
@@ -171,7 +171,7 @@ TEST(Rrip, AgingFindsVictimWhenNoneDistant)
 
 TEST(Rrip, DelayThresholdProtectsYoungPages)
 {
-    RripPolicy rrip({.rrpvBits = 2, .distantInsertion = true, .delayThreshold = 3});
+    RripPolicy rrip({.distantInsertion = true, .delayThreshold = 3});
     rrip.onFault(1);
     rrip.onMigrateIn(1); // delay=1
     rrip.onFault(2);
@@ -185,8 +185,7 @@ TEST(Rrip, DelayThresholdProtectsYoungPages)
 
 TEST(Rrip, AllInsideDelayWindowFallsBackToOldest)
 {
-    RripPolicy rrip({.rrpvBits = 2, .distantInsertion = true,
-                     .delayThreshold = 1000});
+    RripPolicy rrip({.distantInsertion = true, .delayThreshold = 1000});
     rrip.onFault(1);
     rrip.onMigrateIn(1);
     rrip.onFault(2);
@@ -222,8 +221,9 @@ TEST(ClockPro, EvictionKeepsTestMetadata)
 
 TEST(ClockPro, RefaultInTestPeriodPromotesToHot)
 {
-    // m_c = 1 so a hot set can exist beside the cold allocation.
-    ClockProPolicy cp(ClockProConfig{.coldAllocation = 1});
+    // Three pages fit the cold allocation m_c, so the promoted page stays
+    // hot instead of being demoted to make room.
+    ClockProPolicy cp;
     for (PageId p : {1, 2, 3}) {
         cp.onFault(p);
         cp.onMigrateIn(p);

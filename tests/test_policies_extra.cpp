@@ -184,21 +184,20 @@ TEST(Dip, BipInsertionLandsAtLruEnd)
 {
     // Force BIP for everyone by driving the selector high with LRU-leader
     // faults, then check follower insertions are immediately evictable.
-    DipConfig cfg;
-    cfg.pselMax = 4;
-    DipPolicy dip(cfg);
+    DipPolicy dip;
     PageId lru_leader = 0;
     for (PageId p = 0;; ++p) {
-        DipPolicy probe(cfg);
+        DipPolicy probe;
         probe.onFault(p);
-        if (probe.psel() > cfg.pselMax / 2) {
+        if (probe.psel() > DipConfig::kPselMax / 2) {
             lru_leader = p;
             break;
         }
     }
-    for (int i = 0; i < 4; ++i)
+    // The selector starts at its midpoint; half its range saturates it.
+    for (std::uint32_t i = 0; i < DipConfig::kPselMax / 2; ++i)
         dip.onFault(lru_leader);
-    EXPECT_EQ(dip.psel(), cfg.pselMax);
+    EXPECT_EQ(dip.psel(), DipConfig::kPselMax);
     // With BIP winning, a long run of insertions mostly lands at the LRU
     // end: the first victim should be a recent insertion, not the oldest.
     std::vector<PageId> inserted;

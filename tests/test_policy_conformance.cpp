@@ -188,9 +188,10 @@ TEST_P(PolicyConformance, HostedInMetaPolicy)
     for (unsigned trial = 0; trial < 40; ++trial) {
         Rng rng(0x4E7A + trial);
         const TrialShape shape = shapeOf(rng, trial);
-        const Trace trace = traceOf(randomStream(rng, 800, shape.span), shape.type);
-        // The policy under test starts active and shares the memory with
-        // LRU; short intervals make the selector switch between them.
+        // Eight decision intervals, at which the selector may switch
+        // between the policy under test (active first) and LRU.
+        constexpr unsigned refs = 8 * meta::MetaConfig::kIntervalRefs;
+        const Trace trace = traceOf(randomStream(rng, refs, shape.span), shape.type);
         std::array<StatRegistry, 4> stats;
         std::vector<meta::MetaCandidate> candidates(2);
         candidates[0].name = policyKindName(GetParam());
@@ -201,10 +202,9 @@ TEST_P(PolicyConformance, HostedInMetaPolicy)
         candidates[1].shadow = makePolicy(PolicyKind::Lru, trace, stats[3], HpeConfig{}, 1);
         meta::MetaConfig cfg;
         cfg.selector = trial % 2 == 0 ? meta::SelectorKind::Duel : meta::SelectorKind::Bandit;
-        cfg.intervalRefs = 16;
         cfg.seed = trial + 1;
         meta::MetaPolicy policy(cfg, std::move(candidates));
-        runConformance(policy, rng, shape.frames, shape.span, 800);
+        runConformance(policy, rng, shape.frames, shape.span, refs);
         ASSERT_FALSE(HasFatalFailure()) << "trial " << trial;
     }
 }
@@ -345,7 +345,6 @@ TEST(PolicyDifferential, RripMatchesReferenceVictims)
             cfg = RripConfig::thrashing();
             break;
           default:
-            cfg.rrpvBits = static_cast<unsigned>(rng.between(1, 8));
             cfg.distantInsertion = rng.chance(0.5);
             cfg.delayThreshold = rng.chance(0.5) ? 128 : rng.below(40);
             break;
@@ -358,8 +357,7 @@ TEST(PolicyDifferential, RripMatchesReferenceVictims)
         reference::RripPolicy ref(cfg);
         expectSameVictims(fresh, ref, stream, frames, rng);
         ASSERT_FALSE(HasFatalFailure())
-            << "trial " << trial << " bits " << cfg.rrpvBits << " delay "
-            << cfg.delayThreshold;
+            << "trial " << trial << " delay " << cfg.delayThreshold;
     }
 }
 
@@ -399,11 +397,7 @@ TEST(PolicyDifferential, ClockMatchesReferenceVictims)
 TEST(PolicyDifferential, DipMatchesReferenceVictims)
 {
     expectSameVictimsOverTrials(0xD1B, [](Rng &rng) {
-        DipConfig cfg;
-        cfg.seed = rng.next();
-        cfg.leaderFraction = static_cast<std::uint32_t>(rng.between(3, 40));
-        cfg.bipEpsilonInverse = static_cast<std::uint32_t>(rng.between(1, 40));
-        cfg.pselMax = std::uint32_t{1} << rng.between(1, 10);
+        const DipConfig cfg{.seed = rng.next()};
         return PolicyPair{std::make_unique<DipPolicy>(cfg),
                           std::make_unique<reference::DipPolicy>(cfg)};
     });

@@ -132,8 +132,9 @@ TEST(StridePrefetcherTest, ArmsAfterConfidenceAndRetrainsOnMiss)
     PrefetchConfig cfg;
     cfg.kind = PrefetchKind::Stride;
     cfg.degree = 3;
-    cfg.strideConfidence = 2;
     const auto p = prefetch::makePrefetcher(cfg);
+    // Two equal deltas in a row arm a stream.
+    EXPECT_EQ(PrefetchConfig::kStrideConfidence, 2u);
     std::vector<PageId> out;
     p->candidates(100, 0, notResident, out); // first sighting
     p->candidates(104, 0, notResident, out); // delta 4, confidence 1
@@ -150,7 +151,6 @@ TEST(StridePrefetcherTest, StreamsTrainIndependently)
     PrefetchConfig cfg;
     cfg.kind = PrefetchKind::Stride;
     cfg.degree = 1;
-    cfg.strideConfidence = 2;
     const auto p = prefetch::makePrefetcher(cfg);
     std::vector<PageId> out;
     p->candidates(10, 0, notResident, out);
@@ -167,7 +167,6 @@ TEST(StridePrefetcherTest, NegativeStrideStopsAtPageZero)
     PrefetchConfig cfg;
     cfg.kind = PrefetchKind::Stride;
     cfg.degree = 4;
-    cfg.strideConfidence = 2;
     const auto p = prefetch::makePrefetcher(cfg);
     std::vector<PageId> out;
     p->candidates(9, 0, notResident, out);
@@ -178,19 +177,19 @@ TEST(StridePrefetcherTest, NegativeStrideStopsAtPageZero)
 
 TEST(DensityPrefetcherTest, TriggersAtBasinThreshold)
 {
+    // 16-page basins that fill once half their pages have faulted.
+    EXPECT_EQ(PrefetchConfig::kBasinPages, 16u);
+    EXPECT_EQ(PrefetchConfig::kDensityThreshold, 0.5);
     PrefetchConfig cfg;
     cfg.kind = PrefetchKind::Density;
     cfg.degree = 16;
-    cfg.basinPages = 8;
-    cfg.densityThreshold = 0.5;
     const auto p = prefetch::makePrefetcher(cfg);
     std::vector<PageId> out;
-    p->candidates(8, 0, notResident, out);  // basin 1: 1/8 faulted
-    p->candidates(10, 0, notResident, out); // 2/8
-    p->candidates(12, 0, notResident, out); // 3/8
+    for (PageId q = 16; q < 30; q += 2) // basin 1: 7/16 faulted
+        p->candidates(q, 0, notResident, out);
     EXPECT_TRUE(out.empty());
-    p->candidates(14, 0, notResident, out); // 4/8: threshold reached
-    EXPECT_EQ(out, (std::vector<PageId>{9, 11, 13, 15}));
+    p->candidates(30, 0, notResident, out); // 8/16: threshold reached
+    EXPECT_EQ(out, (std::vector<PageId>{17, 19, 21, 23, 25, 27, 29, 31}));
 }
 
 TEST(DensityPrefetcherTest, SkipsResidentPagesAndHonoursDegree)
@@ -198,14 +197,12 @@ TEST(DensityPrefetcherTest, SkipsResidentPagesAndHonoursDegree)
     PrefetchConfig cfg;
     cfg.kind = PrefetchKind::Density;
     cfg.degree = 2;
-    cfg.basinPages = 8;
-    cfg.densityThreshold = 0.5;
     const auto p = prefetch::makePrefetcher(cfg);
     std::vector<PageId> out;
-    for (PageId q : {0, 2, 4}) // 3/8
+    for (PageId q = 0; q < 14; q += 2) // 7/16
         p->candidates(q, 0, notResident, out);
     EXPECT_TRUE(out.empty());
-    p->candidates(6, 0, [](PageId q) { return q == 1; }, out);
+    p->candidates(14, 0, [](PageId q) { return q == 1; }, out);
     EXPECT_EQ(out, (std::vector<PageId>{3, 5})); // 1 resident, degree caps 7
 }
 

@@ -173,8 +173,6 @@ TEST(PrefetchProperties, SpeculationSafetyUnderRandomConfigs)
         opts.faultBatch = 1u << (rng() % 9); // 1..256
         opts.prefetch.kind = pf_kinds[rng() % 3];
         opts.prefetch.degree = 1 + static_cast<unsigned>(rng() % 16);
-        opts.prefetch.strideConfidence = 1 + static_cast<unsigned>(rng() % 3);
-        opts.prefetch.densityThreshold = 0.25 + 0.25 * static_cast<double>(rng() % 3);
         StatRegistry stats;
         auto policy = makePolicy(kind, t, stats, {}, seed);
         const auto result = runPaging(t, *policy, frames, stats, opts);

@@ -388,15 +388,11 @@ TEST(ServeTcpRobustness, MalformedFrameGetsErrorAndDaemonSurvives)
 TEST(ServeTcpRobustness, OversizedLineIsRefusedAndConnectionClosed)
 {
     NetServer ts(tcpOnly());
-    ts.server->stop();
-    // Rebuild with a tiny line cap so the test stays fast.
-    ts.cfg.maxLineBytes = 1024;
-    ts.server = std::make_unique<Server>(ts.cfg);
-    std::string error;
-    ASSERT_TRUE(ts.server->start(error)) << error;
-
     const int fd = rawConnect(ts.endpoint());
-    const std::string flood(8192, 'x'); // no newline anywhere
+    // One byte over the limit and no newline anywhere: the daemon reads
+    // all of it before it refuses, so no unread byte turns its close into
+    // a reset that could drop the error response.
+    const std::string flood(ServeConfig::kMaxLineBytes + 1, 'x');
     ASSERT_EQ(::send(fd, flood.data(), flood.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(flood.size()));
     const std::string response = rawReadLine(fd);
@@ -404,7 +400,8 @@ TEST(ServeTcpRobustness, OversizedLineIsRefusedAndConnectionClosed)
     const auto v = api::json::parse(response, &perr);
     ASSERT_TRUE(v.has_value()) << response;
     EXPECT_FALSE(v->find("ok")->asBool());
-    EXPECT_NE(protocol::errorMessage(*v).find("exceeds 1024 bytes"),
+    EXPECT_NE(protocol::errorMessage(*v).find(
+                  "exceeds " + std::to_string(ServeConfig::kMaxLineBytes) + " bytes"),
               std::string::npos);
     // After the error the daemon hangs up: EOF, not a second response.
     EXPECT_EQ(rawReadLine(fd), "");

@@ -146,8 +146,9 @@ TEST(ResultStore, RotatesSegmentsAtThresholdAndRecoversAll)
 {
     const fs::path dir = freshDir("rotate");
     ResultStoreConfig cfg = config(dir);
-    cfg.segmentBytes = 256; // a few frames per segment
-    cfg.compactDeadRatio = 2.0; // never auto-compact: pure rotation
+    // A few frames per segment.  Every fingerprint is distinct, so no
+    // frame is dead and rotation never compacts.
+    cfg.segmentBytes = 256;
     {
         ResultStore store(cfg);
         std::string error;
@@ -169,8 +170,9 @@ TEST(ResultStore, RotatesSegmentsAtThresholdAndRecoversAll)
 TEST(ResultStore, CompactionDropsDeadFramesAndPreservesTheLiveSet)
 {
     const fs::path dir = freshDir("compact");
-    ResultStoreConfig cfg = config(dir);
-    cfg.compactDeadRatio = 2.0; // compact only when asked
+    // 34 frames stay far below the segment size, so no rotation (and no
+    // compaction with it) happens until compact() is asked for.
+    const ResultStoreConfig cfg = config(dir);
     {
         ResultStore store(cfg);
         std::string error;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "gpu/gpu_system.hpp"
 #include "mem/page_table.hpp"
 #include "tlb/tlb.hpp"
 #include "tlb/walker.hpp"
@@ -18,7 +19,7 @@ namespace {
 TEST(Tlb, MissThenFillThenHit)
 {
     StatRegistry stats;
-    Tlb tlb(l1TlbConfig(), stats, "t");
+    Tlb tlb(GpuConfig::kL1Tlb, stats, "t");
     EXPECT_FALSE(tlb.lookup(5));
     tlb.fill(5);
     EXPECT_TRUE(tlb.lookup(5));
@@ -29,7 +30,7 @@ TEST(Tlb, MissThenFillThenHit)
 TEST(Tlb, InvalidateDropsTranslation)
 {
     StatRegistry stats;
-    Tlb tlb(l1TlbConfig(), stats, "t");
+    Tlb tlb(GpuConfig::kL1Tlb, stats, "t");
     tlb.fill(5);
     tlb.invalidate(5);
     EXPECT_FALSE(tlb.lookup(5));
@@ -38,7 +39,7 @@ TEST(Tlb, InvalidateDropsTranslation)
 TEST(Tlb, FlushDropsEverything)
 {
     StatRegistry stats;
-    Tlb tlb(l1TlbConfig(), stats, "t");
+    Tlb tlb(GpuConfig::kL1Tlb, stats, "t");
     tlb.fill(1);
     tlb.fill(2);
     tlb.flush();
@@ -102,12 +103,12 @@ TEST(Tlb, PortFreesAfterLatency)
 
 TEST(Tlb, TableIDefaults)
 {
-    EXPECT_EQ(l1TlbConfig().entries, 128u);
-    EXPECT_EQ(l1TlbConfig().latency, 1u);
-    EXPECT_EQ(l2TlbConfig().entries, 512u);
-    EXPECT_EQ(l2TlbConfig().ways, 16u);
-    EXPECT_EQ(l2TlbConfig().latency, 10u);
-    EXPECT_EQ(l2TlbConfig().ports, 2u);
+    EXPECT_EQ(GpuConfig::kL1Tlb.entries, 128u);
+    EXPECT_EQ(GpuConfig::kL1Tlb.latency, 1u);
+    EXPECT_EQ(GpuConfig::kL2Tlb.entries, 512u);
+    EXPECT_EQ(GpuConfig::kL2Tlb.ways, 16u);
+    EXPECT_EQ(GpuConfig::kL2Tlb.latency, 10u);
+    EXPECT_EQ(GpuConfig::kL2Tlb.ports, 2u);
 }
 
 TEST(Walker, HitReturnsFrameAndLatency)
