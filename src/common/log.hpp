@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -91,16 +92,29 @@ inform(std::string_view fmt, Args &&...args)
     std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
+namespace detail {
+
 /**
- * panic() unless @p cond holds; used for internal invariants.  The
- * condition's text is an argument, not part of the format string, so a
- * braced initializer in it (`std::uint32_t{1}`) prints as written.
+ * HPE_ASSERT's failure path.  The condition's text is an argument, not
+ * part of the format string, so a braced initializer in it
+ * (`std::uint32_t{1}`) prints as written; and one plain function serves
+ * every call site, where a panic() template would be instantiated per
+ * condition length.
  */
+[[noreturn]] inline void
+assertFailed(const char *cond, const char *file, int line, const std::string &msg)
+{
+    panic("assertion `{}` failed at {}:{}: {}", cond, file, line, msg);
+}
+
+} // namespace detail
+
+/** panic() unless @p cond holds; used for internal invariants. */
 #define HPE_ASSERT(cond, ...)                                                  \
     do {                                                                       \
         if (!(cond)) [[unlikely]]                                              \
-            ::hpe::panic("assertion `{}` failed at {}:{}: {}", #cond,          \
-                         __FILE__, __LINE__, ::hpe::strformat(__VA_ARGS__));   \
+            ::hpe::detail::assertFailed(#cond, __FILE__, __LINE__,             \
+                                        ::hpe::strformat(__VA_ARGS__));        \
     } while (0)
 
 } // namespace hpe

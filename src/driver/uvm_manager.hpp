@@ -375,8 +375,7 @@ class UvmMemoryManager
     enableDegradation()
     {
         HPE_ASSERT(detector_ == nullptr, "degradation enabled twice");
-        detector_ = std::make_unique<ThrashingDetector>(stats_,
-                                                        name_ + ".degraded");
+        detector_ = std::make_unique<ThrashingDetector>(stats_, name_ + ".degraded");
         pinnedPages_ = &stats_.counter(name_ + ".degraded.pinnedPages");
         pinnedVictimOverrides_ =
             &stats_.counter(name_ + ".degraded.pinnedVictimOverrides");

@@ -16,7 +16,6 @@
 #include "api/api.hpp"
 #include "common/rng.hpp"
 #include "policy/clock.hpp"
-#include "policy/dip.hpp"
 #include "policy/fifo.hpp"
 #include "policy/lru.hpp"
 #include "policy/meta/meta_policy.hpp"
