@@ -381,11 +381,6 @@ class UvmMemoryManager
             &stats_.counter(name_ + ".degraded.pinnedVictimOverrides");
     }
 
-    /** @{ degradation introspection (null/false when not enabled) */
-    const ThrashingDetector *degradation() const { return detector_.get(); }
-    bool degraded() const { return detector_ != nullptr && detector_->degraded(); }
-    /** @} */
-
     const PageTable &pageTable() const { return table_; }
     PageTable &pageTable() { return table_; }
     const FrameAllocator &frames() const { return frames_; }

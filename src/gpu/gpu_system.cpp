@@ -9,7 +9,7 @@ namespace hpe {
 GpuSystem::GpuSystem(const GpuConfig &cfg, const Trace &trace,
                      EvictionPolicy &policy, std::size_t frames,
                      StatRegistry &stats, HpePolicy *hpe)
-    : cfg_(cfg), trace_(trace), policy_(policy),
+    : trace_(trace), policy_(policy),
       uvm_(frames, policy, stats, "driver.uvm"),
       pcie_(stats, "pcie"),
       driver_(cfg.driver, uvm_, pcie_, eq_, stats, "driver", hpe),
@@ -24,9 +24,9 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, const Trace &trace,
       eqArenaBytes_(stats.counter("gpu.eq.arenaBytes"))
 {
     l2Tlb_ = std::make_unique<Tlb>(GpuConfig::kL2Tlb, stats, "gpu.l2tlb");
-    if (cfg_.walkerMode == WalkerMode::FixedLatency) {
+    if (cfg.walkerMode == WalkerMode::FixedLatency) {
         walker_ = std::make_unique<FixedLatencyWalker>(
-            uvm_.pageTable(), cfg_.walkLatency, stats, "gpu.walker");
+            uvm_.pageTable(), cfg.walkLatency, stats, "gpu.walker");
     } else {
         walker_ = std::make_unique<MultiLevelWalker>(uvm_.pageTable(), stats,
                                                      "gpu.walker");
@@ -51,22 +51,22 @@ GpuSystem::GpuSystem(const GpuConfig &cfg, const Trace &trace,
 
     // Multi-page-size axis: the coalescer attaches behind the fault path
     // and remap shootdowns flow through the same evict hook as evictions.
-    if (cfg_.pageSizes.active())
-        uvm_.enablePageSizes(cfg_.pageSizes);
+    if (cfg.pageSizes.active())
+        uvm_.enablePageSizes(cfg.pageSizes);
 
     // Chaos mode: one injector shared by every injection site.  Nothing
     // is constructed (and no extra stat is registered) when disabled, so
     // the default stat tree stays byte-identical.
-    if (cfg_.chaos.enabled) {
-        injector_ = std::make_unique<FaultInjector>(cfg_.chaos, stats, "chaos");
+    if (cfg.chaos.enabled) {
+        injector_ = std::make_unique<FaultInjector>(cfg.chaos, stats, "chaos");
         pcie_.setInjector(injector_.get());
         driver_.setInjector(injector_.get());
         walkRetries_ = &stats.counter("gpu.walkRetries");
         shootdownReissues_ = &stats.counter("gpu.shootdownReissues");
     }
-    if (cfg_.degradation.enabled)
+    if (cfg.degradation.enabled)
         uvm_.enableDegradation();
-    if (cfg_.validate) {
+    if (cfg.validate) {
         validator_ = std::make_unique<StateValidator>(uvm_, stats, "validator");
         uvm_.setValidateHook([this] { validator_->check(); });
     }

@@ -179,7 +179,6 @@ class GpuSystem
     /** Shoot down translations and cached lines of an evicted page. */
     void onEvictPage(PageId page);
 
-    const GpuConfig cfg_;
     const Trace &trace_;
     EvictionPolicy &policy_;
     EventQueue eq_;

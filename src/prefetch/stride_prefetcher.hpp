@@ -5,10 +5,10 @@
  * Each fault stream (a warp in the timing simulator, the single reference
  * stream in the functional simulator) carries a last-fault page, a
  * candidate stride, and a saturating confidence counter.  Two consecutive
- * equal deltas (PrefetchConfig::kStrideConfidence) arm the stream; an armed stream proposes
- * page + k*stride for k = 1..degree.  A mispredicted delta re-trains
- * immediately, so irregular streams degrade to no speculation rather
- * than to wrong speculation.
+ * equal deltas (PrefetchConfig::kStrideConfidence) arm the stream; an
+ * armed stream proposes page + k*stride for k = 1..degree.  A mispredicted
+ * delta re-trains immediately, so irregular streams degrade to no
+ * speculation rather than to wrong speculation.
  */
 
 #pragma once

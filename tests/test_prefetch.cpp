@@ -203,7 +203,7 @@ TEST(DensityPrefetcherTest, SkipsResidentPagesAndHonoursDegree)
         p->candidates(q, 0, notResident, out);
     EXPECT_TRUE(out.empty());
     p->candidates(14, 0, [](PageId q) { return q == 1; }, out);
-    EXPECT_EQ(out, (std::vector<PageId>{3, 5})); // 1 resident, degree caps 7
+    EXPECT_EQ(out, (std::vector<PageId>{3, 5})); // 1 resident, degree caps 7..15
 }
 
 class PrefetchOutcomeTest : public ::testing::Test

@@ -62,7 +62,7 @@ while read -r stem mode scale flags; do
         --scale "$scale" --seed "$SEED" \
         --trace-digest \
         --interval-stats "$OUT/$stem.intervals.csv" \
-        --interval "$INTERVAL" \
+        --interval "$INTERVAL" < /dev/null \
         | grep '^trace digest ' > "$OUT/$stem.digest"
     if [[ "$CHECK" == 1 ]]; then
         for f in "$stem.digest" "$stem.intervals.csv"; do
