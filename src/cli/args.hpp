@@ -7,8 +7,12 @@
 
 #pragma once
 
+#include <charconv>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.hpp"
@@ -73,16 +77,28 @@ class Args
         return v;
     }
 
-    std::uint64_t
-    getUint(const std::string &key, std::uint64_t fallback) const
+    /**
+     * Unsigned option of type T with default: decimal digits only, so a
+     * minus sign or a value too large for T is fatal() rather than
+     * wrapped or truncated.
+     */
+    template <typename T = std::uint64_t>
+    T
+    getUint(const std::string &key, std::type_identity_t<T> fallback) const
     {
         auto it = options_.find(key);
         if (it == options_.end())
             return fallback;
-        char *end = nullptr;
-        const auto v = std::strtoull(it->second.c_str(), &end, 10);
-        if (end == it->second.c_str() || *end != '\0')
-            fatal("option --{} expects an integer, got '{}'", key, it->second);
+        const std::string &text = it->second;
+        T v = 0;
+        const char *last = text.data() + text.size();
+        const auto [end, ec] = std::from_chars(text.data(), last, v);
+        if (ec == std::errc::result_out_of_range)
+            fatal("option --{} must be at most {}, got '{}'", key,
+                  std::numeric_limits<T>::max(), text);
+        if (ec != std::errc() || end != last)
+            fatal("option --{} expects a non-negative integer, got '{}'", key,
+                  text);
         return v;
     }
 

@@ -56,8 +56,7 @@ requestFromArgs(const Args &args)
     req.policy = args.get("policy", "HPE");
     req.oversub = args.getDouble("oversub", 0.75);
     req.functional = args.has("functional");
-    req.walkLatency =
-        static_cast<unsigned>(args.getUint("walk-latency", 8));
+    req.walkLatency = args.getUint<unsigned>("walk-latency", 8);
     req.multiLevelWalker = args.has("multi-level-walker");
 
     if (args.has("prefetch")) {
@@ -69,9 +68,8 @@ requestFromArgs(const Args &args)
                  "--prefetch-degree {}",
                  req.prefetch, req.prefetch);
     }
-    req.prefetchDegree =
-        static_cast<unsigned>(args.getUint("prefetch-degree", 4));
-    req.faultBatch = static_cast<unsigned>(args.getUint("fault-batch", 1));
+    req.prefetchDegree = args.getUint<unsigned>("prefetch-degree", 4);
+    req.faultBatch = args.getUint<unsigned>("fault-batch", 1);
     // Page-size axis; normalize() canonicalizes the spelling and rejects
     // unknown size tokens through usageFatal().
     if (args.has("page-sizes"))
@@ -99,8 +97,7 @@ requestFromArgs(const Args &args)
 
     req.traceDigest = args.has("trace-digest");
     req.traceEvents = args.get("trace-events", "all");
-    req.traceRing =
-        static_cast<std::size_t>(args.getUint("trace-ring", 1u << 16));
+    req.traceRing = args.getUint<std::size_t>("trace-ring", 1u << 16);
     req.stats = args.has("stats");
 
     req.normalize();
@@ -241,7 +238,7 @@ compareCommand(const Args &args, std::ostream &os)
         api::ExperimentResult functional;
         api::ExperimentResult timing;
     };
-    SweepRunner runner(static_cast<unsigned>(args.getUint("jobs", 0)));
+    SweepRunner runner(args.getUint<unsigned>("jobs", 0));
     const auto rows = runner.map(kinds.size(), [&](std::size_t i) {
         api::ExperimentRequest cell = base;
         cell.policy = policyKindName(kinds[i]);
@@ -344,7 +341,7 @@ sweepCommand(const Args &args, std::ostream &os)
     for (const AppSpec &spec : appSpecs())
         apps.push_back(spec.abbr);
 
-    SweepRunner runner(static_cast<unsigned>(args.getUint("jobs", 0)));
+    SweepRunner runner(args.getUint<unsigned>("jobs", 0));
     // Traces are built once, in parallel, then shared read-only by the
     // (app x policy) cells — the same sharing `prebuilt` gives the daemon.
     const auto traces = runner.mapItems(apps, [&](const std::string &abbr) {
@@ -430,7 +427,7 @@ tournamentCommand(const Args &args, std::ostream &os)
                                             : TournamentConfig::quick();
     cfg.scale = args.getDouble("scale", cfg.scale);
     cfg.seed = args.getUint("seed", cfg.seed);
-    cfg.jobs = static_cast<unsigned>(args.getUint("jobs", 0));
+    cfg.jobs = args.getUint<unsigned>("jobs", 0);
 
     const Leaderboard board = runTournament(cfg);
 
@@ -490,10 +487,10 @@ serveCommand(const Args &args, std::ostream &os)
         cfg.listen.emplace_back(item);
     if (cfg.socketPath.empty() && cfg.listen.empty())
         fatal("serve requires --socket ENDPOINT or --listen ENDPOINTS");
-    cfg.shards = static_cast<unsigned>(args.getUint("shards", 1));
+    cfg.shards = args.getUint<unsigned>("shards", 1);
     if (cfg.shards == 0)
         fatal("--shards must be at least 1");
-    cfg.jobs = static_cast<unsigned>(args.getUint("jobs", 0));
+    cfg.jobs = args.getUint<unsigned>("jobs", 0);
     cfg.maxQueue = args.getUint("max-queue", 64);
     cfg.cacheCapacity = args.getUint("cache-capacity", 1024);
     cfg.defaultDeadlineMs = args.getUint("deadline-ms", 0);

@@ -1,28 +1,30 @@
 /**
  * @file
- * Fixed-size worker pool with a chunk-free dynamic parallel-for.
+ * The program's two schedulers: parallelFor(), which the sweep engine
+ * runs its independent simulations on, and ThreadPool, the FIFO task
+ * queue a daemon shard posts cold computations to.
  *
- * The sweep engine runs many independent (trace, policy, configuration)
- * simulations; their durations vary by an order of magnitude (a timing
- * run of a type-II workload versus a functional run of a streaming one),
- * so static chunking would leave workers idle.  parallelFor() instead
- * hands out indices one at a time through a shared atomic cursor —
- * effectively work stealing at index granularity, which self-balances
- * without any per-job bookkeeping.
- *
- * Guarantees:
+ * parallelFor() hands out indices one at a time through a shared atomic
+ * cursor.  Sweep cells vary in duration by an order of magnitude (a
+ * timing run of a type-II workload versus a functional run of a
+ * streaming one), so static chunking would leave threads idle; the
+ * cursor self-balances without any per-job bookkeeping.  Its guarantees:
  *
  *  - every index in [0, n) is executed exactly once, on some thread;
- *  - the calling thread participates (a pool of `t` threads applies `t`
- *    ways of parallelism, not `t + 1`);
+ *  - it starts min(threads, n) - 1 helper threads for the call and the
+ *    calling thread works on the cursor too, so `threads` is the degree
+ *    of parallelism, not `threads + 1`;
+ *  - it starts none when threads <= 1 or when called from inside another
+ *    parallelFor(): such calls run on the calling thread, in index order;
  *  - exceptions: every index still runs; afterwards the exception thrown
- *    by the lowest failing index is rethrown on the caller.  The serial
- *    path (1 thread, 1 index, or a nested call) follows the same rule,
- *    so behaviour is mode-independent;
- *  - a parallelFor() issued from inside a running batch (nested
- *    parallelism) executes inline on the calling thread — the pool never
- *    deadlocks on itself.
+ *    by the lowest failing index is rethrown on the caller, whatever the
+ *    number of threads;
+ *  - every helper it started is joined before it returns or throws.  If
+ *    a helper cannot be started, the indices not yet claimed are
+ *    abandoned and the std::system_error propagates after the join.
  *
+ * No state is shared between calls, so concurrent calls from several
+ * threads, and calls from inside a ThreadPool task, are independent.
  * Determinism is the caller's contract: parallelFor() imposes no order,
  * so callers must write results into per-index slots and reduce them in
  * index order afterwards (what SweepRunner does).
@@ -30,6 +32,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -38,111 +41,121 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
 
 namespace hpe {
 
-/** Persistent worker pool; see file comment for the execution contract. */
+/** Hardware concurrency with a sane floor (never 0). */
+inline unsigned
+hardwareThreads()
+{
+    const unsigned n = std::thread::hardware_concurrency();
+    return n > 0 ? n : 1;
+}
+
+namespace detail {
+
+/** True on a thread that is running parallelFor() indices. */
+inline thread_local bool insideParallelFor = false;
+
+} // namespace detail
+
+/**
+ * Run fn(i) for every i in [0, n) on up to @p threads threads, the
+ * calling thread included; blocks until all complete.  See the file
+ * comment for the thread, nesting and exception contract.
+ */
+inline void
+parallelFor(unsigned threads, std::size_t n,
+            const std::function<void(std::size_t)> &fn)
+{
+    std::atomic<std::size_t> next{0};
+    std::mutex errorMutex;
+    std::size_t errorIndex = 0;
+    std::exception_ptr error;
+    const auto drain = [&] {
+        const bool outer = std::exchange(detail::insideParallelFor, true);
+        for (;;) {
+            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                break;
+            try {
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(errorMutex);
+                if (!error || i < errorIndex) {
+                    error = std::current_exception();
+                    errorIndex = i;
+                }
+            }
+        }
+        detail::insideParallelFor = outer;
+    };
+
+    std::vector<std::thread> helpers;
+    const std::size_t width = std::min<std::size_t>(threads, n);
+    if (width > 1 && !detail::insideParallelFor) {
+        helpers.reserve(width - 1);
+        try {
+            for (std::size_t t = 1; t < width; ++t)
+                helpers.emplace_back(drain);
+        } catch (...) {
+            // Closing the cursor stops the started helpers after their
+            // current index.
+            next.store(n, std::memory_order_relaxed);
+            for (std::thread &helper : helpers)
+                helper.join();
+            throw;
+        }
+    }
+    drain();
+    for (std::thread &helper : helpers)
+        helper.join();
+    if (error)
+        std::rethrow_exception(error);
+}
+
+/**
+ * A FIFO of posted tasks drained by a fixed set of worker threads.
+ *
+ * Tasks must not throw; an escaping exception is caught and reported
+ * via warn() (there is no caller left to rethrow to), and the worker
+ * goes on serving.  Tasks still queued when the pool is destroyed are
+ * dropped — owners drain their work before tearing the pool down.
+ */
 class ThreadPool
 {
   public:
-    /** Hardware concurrency with a sane floor (never 0). */
-    static unsigned
-    hardwareThreads()
+    /** Start exactly @p workers threads (at least one).  If one cannot
+     *  be started, those already running are joined and the
+     *  std::system_error propagates. */
+    explicit ThreadPool(unsigned workers)
     {
-        const unsigned n = std::thread::hardware_concurrency();
-        return n > 0 ? n : 1;
-    }
-
-    /** @param threads parallelism degree; 0 selects hardwareThreads(). */
-    explicit ThreadPool(unsigned threads = 0)
-        : threads_(threads == 0 ? hardwareThreads() : threads)
-    {
-        workers_.reserve(threads_ - 1);
-        for (unsigned t = 1; t < threads_; ++t)
-            workers_.emplace_back([this] { workerLoop(); });
-    }
-
-    ~ThreadPool()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
+        HPE_ASSERT(workers > 0, "a ThreadPool needs at least one worker");
+        workers_.reserve(workers);
+        try {
+            for (unsigned w = 0; w < workers; ++w)
+                workers_.emplace_back([this] { workerLoop(); });
+        } catch (...) {
+            stopAndJoin();
+            throw;
         }
-        wake_.notify_all();
-        for (std::thread &w : workers_)
-            w.join();
     }
+
+    ~ThreadPool() { stopAndJoin(); }
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Parallelism degree (including the calling thread). */
-    unsigned threads() const { return threads_; }
+    std::size_t workers() const { return workers_.size(); }
 
-    /**
-     * Run fn(i) for every i in [0, n), distributing indices across the
-     * pool; blocks until all complete.  See the file comment for the
-     * exception and nesting contract.
-     */
-    void
-    parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
-    {
-        if (n == 0)
-            return;
-        if (workers_.empty() || n == 1 || insideBatch()) {
-            runSerial(n, fn);
-            return;
-        }
-
-        Batch batch(n, fn);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            HPE_ASSERT(current_ == nullptr, "overlapping parallelFor batches");
-            current_ = &batch;
-            ++generation_;
-            unfinished_ = static_cast<unsigned>(workers_.size());
-        }
-        wake_.notify_all();
-
-        insideBatch() = true;
-        runShare(batch);
-        insideBatch() = false;
-
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            done_.wait(lock, [this] { return unfinished_ == 0; });
-            current_ = nullptr;
-        }
-        if (batch.error)
-            std::rethrow_exception(batch.error);
-    }
-
-    /**
-     * Enqueue one task for asynchronous execution on the pool — the
-     * daemon's scheduling primitive, complementing the batch-oriented
-     * parallelFor().  Tasks and batches share the same workers: a batch
-     * published while a worker runs a long task completes only after
-     * that worker drains it, so long tasks delay concurrent batch
-     * completion (the daemon never mixes the two).
-     *
-     * On a single-thread pool the task runs inline on the calling
-     * thread before post() returns — same execution, no queue.
-     *
-     * Tasks must not throw; an escaping exception is caught and
-     * reported via warn() (there is no caller left to rethrow to).
-     * Tasks still queued when the pool is destroyed are dropped —
-     * owners drain their work before tearing the pool down.
-     */
+    /** Enqueue one task; the first idle worker runs it. */
     void
     post(std::function<void()> task)
     {
-        if (workers_.empty()) {
-            runTask(task);
-            return;
-        }
         {
             std::lock_guard<std::mutex> lock(mutex_);
             tasks_.push_back(std::move(task));
@@ -151,137 +164,47 @@ class ThreadPool
     }
 
   private:
-    /** One parallelFor invocation's shared state. */
-    struct Batch
+    void
+    stopAndJoin()
     {
-        Batch(std::size_t count, const std::function<void(std::size_t)> &f)
-            : n(count), fn(f)
-        {}
-
-        const std::size_t n;
-        const std::function<void(std::size_t)> &fn;
-        std::atomic<std::size_t> next{0};
-
-        std::mutex errorMutex;
-        std::size_t errorIndex = 0;
-        std::exception_ptr error;
-
-        void
-        record(std::size_t index, std::exception_ptr e)
         {
-            std::lock_guard<std::mutex> lock(errorMutex);
-            if (!error || index < errorIndex) {
-                error = e;
-                errorIndex = index;
-            }
+            std::lock_guard<std::mutex> lock(mutex_);
+            stop_ = true;
         }
-    };
-
-    /** Per-thread nesting flag; nested parallelFor calls run inline. */
-    static bool &
-    insideBatch()
-    {
-        thread_local bool inside = false;
-        return inside;
-    }
-
-    /** Serial path, same run-all / lowest-failure semantics as parallel. */
-    static void
-    runSerial(std::size_t n, const std::function<void(std::size_t)> &fn)
-    {
-        std::exception_ptr error;
-        for (std::size_t i = 0; i < n; ++i) {
-            try {
-                fn(i);
-            } catch (...) {
-                if (!error)
-                    error = std::current_exception();
-            }
-        }
-        if (error)
-            std::rethrow_exception(error);
-    }
-
-    /** Pull indices from the cursor until the batch is drained. */
-    static void
-    runShare(Batch &batch)
-    {
-        for (;;) {
-            const std::size_t i =
-                batch.next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= batch.n)
-                return;
-            try {
-                batch.fn(i);
-            } catch (...) {
-                batch.record(i, std::current_exception());
-            }
-        }
-    }
-
-    /** Run a posted task, containing any escaping exception. */
-    static void
-    runTask(const std::function<void()> &task)
-    {
-        try {
-            task();
-        } catch (const std::exception &e) {
-            warn("posted task threw: {}", e.what());
-        } catch (...) {
-            warn("posted task threw a non-std exception");
-        }
+        wake_.notify_all();
+        for (std::thread &w : workers_)
+            w.join();
+        workers_.clear();
     }
 
     void
     workerLoop()
     {
-        std::uint64_t seen = 0;
         for (;;) {
-            Batch *batch = nullptr;
             std::function<void()> task;
             {
                 std::unique_lock<std::mutex> lock(mutex_);
-                wake_.wait(lock, [&] {
-                    return stop_ || generation_ != seen || !tasks_.empty();
-                });
+                wake_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
                 if (stop_)
                     return;
-                if (generation_ != seen) {
-                    // Batches take precedence: parallelFor() blocks its
-                    // caller, posted tasks have nobody waiting inline.
-                    seen = generation_;
-                    batch = current_;
-                } else {
-                    task = std::move(tasks_.front());
-                    tasks_.pop_front();
-                }
+                task = std::move(tasks_.front());
+                tasks_.pop_front();
             }
-            if (batch != nullptr) {
-                insideBatch() = true;
-                runShare(*batch);
-                insideBatch() = false;
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    if (--unfinished_ == 0)
-                        done_.notify_all();
-                }
-            } else {
-                runTask(task);
+            try {
+                task();
+            } catch (const std::exception &e) {
+                warn("posted task threw: {}", e.what());
+            } catch (...) {
+                warn("posted task threw a non-std exception");
             }
         }
     }
 
-    const unsigned threads_;
-    std::vector<std::thread> workers_;
-
     std::mutex mutex_;
     std::condition_variable wake_;
-    std::condition_variable done_;
-    std::uint64_t generation_ = 0;
-    unsigned unfinished_ = 0;
-    Batch *current_ = nullptr;
     std::deque<std::function<void()>> tasks_;
     bool stop_ = false;
+    std::vector<std::thread> workers_;
 };
 
 } // namespace hpe

@@ -194,11 +194,9 @@ class Server
     {
         Shard(std::size_t capacity, std::size_t maxPending,
               unsigned workers)
-            : cache(capacity, maxPending), pool(workers + 1)
+            : cache(capacity, maxPending), pool(workers)
         {}
         ResultCache cache;
-        /** +1: ThreadPool counts the (absent) calling thread; every
-         *  shard gets `workers` dedicated queue-serving threads. */
         ThreadPool pool;
         /** Cold fingerprints shed here in hit-and-coalesce-only mode. */
         std::atomic<std::uint64_t> shedColdRejections{0};

@@ -1,6 +1,9 @@
 #include "sim/sweep.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 
 #include "common/log.hpp"
 
@@ -12,15 +15,19 @@ resolveJobs(unsigned requested)
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("HPE_JOBS"); env != nullptr && *env != '\0') {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end == env || *end != '\0')
+        const char *last = env + std::strlen(env);
+        unsigned v = 0;
+        const auto [end, ec] = std::from_chars(env, last, v);
+        if (ec == std::errc::result_out_of_range)
+            fatal("HPE_JOBS must be at most {}, got '{}'",
+                  std::numeric_limits<unsigned>::max(), env);
+        if (ec != std::errc() || end != last)
             fatal("HPE_JOBS must be a non-negative integer, got '{}'", env);
         if (v > 0)
-            return static_cast<unsigned>(v);
+            return v;
         // HPE_JOBS=0 means "auto", same as unset.
     }
-    return ThreadPool::hardwareThreads();
+    return hardwareThreads();
 }
 
 } // namespace hpe

@@ -5,8 +5,9 @@
  * Every figure/table of the paper is a sweep over independent
  * (trace, policy, oversubscription, seed) simulations, and so are the
  * design-space explorations the ROADMAP aims at.  SweepRunner is only a
- * parallel map: it fans such jobs out across a ThreadPool and returns the
- * results **in job-index order**, so any output derived from them is
+ * parallel map: it fans such jobs out with parallelFor(), on threads that
+ * live for one map() call, and returns the results **in job-index
+ * order**, so any output derived from them is
  * byte-identical to a serial run: parallelism changes wall-clock time,
  * never a single table cell.  What a job runs is the caller's choice —
  * api::runExperiment for requests, runFunctional/runTiming (or their
@@ -47,13 +48,13 @@ class SweepRunner
 {
   public:
     /** @param jobs parallelism; 0 resolves via resolveJobs(). */
-    explicit SweepRunner(unsigned jobs = 0) : pool_(resolveJobs(jobs)) {}
+    explicit SweepRunner(unsigned jobs = 0) : jobs_(resolveJobs(jobs)) {}
 
     /** Resolved parallelism degree. */
-    unsigned jobs() const { return pool_.threads(); }
+    unsigned jobs() const { return jobs_; }
 
     /**
-     * Evaluate fn(i) for every i in [0, n) across the pool and return the
+     * Evaluate fn(i) for every i in [0, n) on jobs() threads and return the
      * results indexed by i — the deterministic-reduction primitive every
      * bench sweep is built on.  fn must not touch shared mutable state.
      */
@@ -63,7 +64,7 @@ class SweepRunner
     {
         using R = std::invoke_result_t<Fn &, std::size_t>;
         std::vector<std::optional<R>> slots(n);
-        pool_.parallelFor(n, [&](std::size_t i) { slots[i].emplace(fn(i)); });
+        parallelFor(jobs_, n, [&](std::size_t i) { slots[i].emplace(fn(i)); });
         std::vector<R> out;
         out.reserve(n);
         for (std::optional<R> &slot : slots)
@@ -81,7 +82,7 @@ class SweepRunner
     }
 
   private:
-    ThreadPool pool_;
+    unsigned jobs_;
 };
 
 } // namespace hpe

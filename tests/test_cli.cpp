@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cli/args.hpp"
@@ -67,6 +68,35 @@ TEST(Args, MalformedNumberIsFatal)
     const Args a = parse({"run", "--oversub", "abc"});
     EXPECT_EXIT({ a.getDouble("oversub", 0.75); },
                 ::testing::ExitedWithCode(1), "expects a number");
+}
+
+TEST(Args, IntegerOptionsTakeDecimalDigitsOnly)
+{
+    // strtoull would read "-1" as 2^64 - 1 and skip a leading space.
+    for (const char *bad : {"-1", "+1", " 1", "0x10", "1e3", ""}) {
+        const std::string opt = std::string("--seed=") + bad;
+        const Args a = parse({"run", opt.c_str()});
+        EXPECT_EXIT({ a.getUint("seed", 1); }, ::testing::ExitedWithCode(1),
+                    "option --seed expects a non-negative integer")
+            << "'" << bad << "'";
+    }
+    const Args a = parse({"run", "--seed=18446744073709551615"});
+    EXPECT_EQ(a.getUint("seed", 1), 18446744073709551615u);
+}
+
+TEST(Args, IntegerTooLargeForItsFieldIsFatal)
+{
+    // Narrowed options fail by name instead of wrapping: 2^32 + 8 used
+    // to run as --walk-latency 8.
+    const Args a = parse({"run", "--walk-latency=4294967304",
+                          "--seed=18446744073709551616",
+                          "--jobs=4294967295"});
+    EXPECT_EXIT({ a.getUint<unsigned>("walk-latency", 8); },
+                ::testing::ExitedWithCode(1),
+                "option --walk-latency must be at most 4294967295");
+    EXPECT_EXIT({ a.getUint("seed", 1); }, ::testing::ExitedWithCode(1),
+                "option --seed must be at most 18446744073709551615");
+    EXPECT_EQ(a.getUint<unsigned>("jobs", 0), 4294967295u);
 }
 
 TEST(Args, UnknownOptionRejected)

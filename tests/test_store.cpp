@@ -14,11 +14,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "serve/result_store.hpp"
+#include "serve/sharded_store.hpp"
 
 namespace hpe::serve {
 namespace {
@@ -406,6 +408,53 @@ TEST(ResultStore, CorruptedMidFrameTruncatesFromTheCorruptionOn)
     ASSERT_EQ(store.recovered().size(), 1u);
     EXPECT_EQ(store.recovered()[0].fingerprint, "first");
     EXPECT_EQ(store.tornTruncations(), 1u);
+}
+
+TEST(ShardedResultStore, MigratesAPreShardingRootJournalIntoTheShards)
+{
+    // A daemon from before sharding journaled straight into the root.
+    const fs::path dir = freshDir("pre_sharding");
+    std::map<std::string, std::pair<std::string, bool>> live;
+    {
+        ResultStore legacy(config(dir));
+        std::string error;
+        ASSERT_TRUE(legacy.open(error)) << error;
+        for (int i = 0; i < 10; ++i) {
+            const std::string fp = "fp-" + std::to_string(i);
+            const std::string payload = "payload-" + std::to_string(i);
+            legacy.append(fp, payload, i == 3);
+            live[fp] = {payload, i == 3};
+        }
+        legacy.appendTombstone("fp-5");
+        live.erase("fp-5");
+    }
+    ASSERT_FALSE(segmentFiles(dir).empty());
+
+    const auto expectLive = [&](const ShardedResultStore &store) {
+        ASSERT_EQ(store.recovered().size(), live.size());
+        EXPECT_EQ(store.recoveredCount(), live.size());
+        for (const ResultStore::Record &rec : store.recovered()) {
+            ASSERT_EQ(live.count(rec.fingerprint), 1u) << rec.fingerprint;
+            EXPECT_EQ(rec.payload, live.at(rec.fingerprint).first);
+            EXPECT_EQ(rec.failed, live.at(rec.fingerprint).second)
+                << rec.fingerprint;
+        }
+    };
+    {
+        ShardedResultStore store(config(dir), 2);
+        std::string error;
+        ASSERT_TRUE(store.open(error)) << error;
+        expectLive(store);
+        EXPECT_EQ(store.migratedRecords(), 9u);
+        EXPECT_TRUE(segmentFiles(dir).empty());
+    }
+    // Migrated once: a reopen finds the same records, all at home.
+    ShardedResultStore store(config(dir), 2);
+    std::string error;
+    ASSERT_TRUE(store.open(error)) << error;
+    expectLive(store);
+    EXPECT_EQ(store.migratedRecords(), 0u);
+    EXPECT_TRUE(segmentFiles(dir).empty());
 }
 
 TEST(ResultStore, EncodeFrameMatchesTheDocumentedLayout)

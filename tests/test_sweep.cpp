@@ -66,19 +66,34 @@ TEST(ResolveJobs, EnvironmentVariableApplies)
 TEST(ResolveJobs, ZeroEnvironmentMeansAuto)
 {
     JobsEnv env("0");
-    EXPECT_EQ(resolveJobs(0), ThreadPool::hardwareThreads());
+    EXPECT_EQ(resolveJobs(0), hardwareThreads());
 }
 
 TEST(ResolveJobs, UnsetEnvironmentMeansAuto)
 {
     JobsEnv env(nullptr);
-    EXPECT_EQ(resolveJobs(0), ThreadPool::hardwareThreads());
+    EXPECT_EQ(resolveJobs(0), hardwareThreads());
 }
 
 TEST(ResolveJobsDeathTest, GarbageEnvironmentIsFatal)
 {
     JobsEnv env("8cores");
     EXPECT_EXIT(resolveJobs(0), testing::ExitedWithCode(1), "HPE_JOBS");
+}
+
+TEST(ResolveJobsDeathTest, SignedOrOversizedEnvironmentIsFatal)
+{
+    // Only the parser runs here: a build that wrapped "-1" would ask
+    // for 2^32 - 1 threads, so nothing builds a SweepRunner from it.
+    for (const char *bad : {"-1", "+2", " 2"}) {
+        JobsEnv env(bad);
+        EXPECT_EXIT(resolveJobs(0), testing::ExitedWithCode(1),
+                    "HPE_JOBS must be a non-negative integer")
+            << "'" << bad << "'";
+    }
+    JobsEnv env("4294967296");
+    EXPECT_EXIT(resolveJobs(0), testing::ExitedWithCode(1),
+                "HPE_JOBS must be at most 4294967295");
 }
 
 TEST(SweepRunner, MapResultsAlignWithIndices)
