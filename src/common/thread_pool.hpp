@@ -5,29 +5,24 @@
  * queue a daemon shard posts cold computations to.
  *
  * parallelFor() hands out indices one at a time through a shared atomic
- * cursor.  Sweep cells vary in duration by an order of magnitude (a
- * timing run of a type-II workload versus a functional run of a
- * streaming one), so static chunking would leave threads idle; the
- * cursor self-balances without any per-job bookkeeping.  Its guarantees:
+ * cursor: sweep cells vary in duration by an order of magnitude, so
+ * static chunking would leave threads idle.  Its guarantees:
  *
  *  - every index in [0, n) is executed exactly once, on some thread;
- *  - it starts min(threads, n) - 1 helper threads for the call and the
- *    calling thread works on the cursor too, so `threads` is the degree
- *    of parallelism, not `threads + 1`;
- *  - it starts none when threads <= 1 or when called from inside another
- *    parallelFor(): such calls run on the calling thread, in index order;
- *  - exceptions: every index still runs; afterwards the exception thrown
- *    by the lowest failing index is rethrown on the caller, whatever the
- *    number of threads;
- *  - every helper it started is joined before it returns or throws.  If
- *    a helper cannot be started, the indices not yet claimed are
- *    abandoned and the std::system_error propagates after the join.
+ *  - it starts min(threads, n) - 1 helper threads and the calling thread
+ *    works on the cursor too; it starts none when threads <= 1 or when
+ *    called from inside another parallelFor(), and then runs the indices
+ *    on the calling thread in order;
+ *  - every index still runs when some throw; afterwards the exception of
+ *    the lowest failing index is rethrown, whatever the thread count;
+ *  - every helper is joined before it returns or throws.  If a helper
+ *    cannot be started, the unclaimed indices are abandoned and the
+ *    std::system_error propagates after the join.
  *
- * No state is shared between calls, so concurrent calls from several
- * threads, and calls from inside a ThreadPool task, are independent.
- * Determinism is the caller's contract: parallelFor() imposes no order,
- * so callers must write results into per-index slots and reduce them in
- * index order afterwards (what SweepRunner does).
+ * No state is shared between calls, so concurrent calls, and calls from
+ * a ThreadPool task, are independent.  parallelFor() imposes no order:
+ * callers write results into per-index slots and reduce them in index
+ * order afterwards (what SweepRunner does).
  */
 
 #pragma once

@@ -7,9 +7,8 @@
  * design-space explorations the ROADMAP aims at.  SweepRunner is only a
  * parallel map: it fans such jobs out with parallelFor(), on threads that
  * live for one map() call, and returns the results **in job-index
- * order**, so any output derived from them is
- * byte-identical to a serial run: parallelism changes wall-clock time,
- * never a single table cell.  What a job runs is the caller's choice —
+ * order**, so any output derived from them is byte-identical to a serial
+ * run: parallelism changes wall-clock time, never a single table cell.  What a job runs is the caller's choice —
  * api::runExperiment for requests, runFunctional/runTiming (or their
  * *Inspect forms) for RunConfig-level studies.
  *
