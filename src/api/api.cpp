@@ -1,11 +1,12 @@
 #include "api/api.hpp"
 
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "api/registry.hpp"
 #include "common/log.hpp"
+#include "common/parse_uint.hpp"
 #include "mem/page_size.hpp"
 #include "trace/events.hpp"
 #include "workload/apps.hpp"
@@ -79,6 +80,14 @@ readUint(const json::Value &obj, const char *key, U &out, std::string &error)
         error = strformat("field '{}' must be a non-negative integer", key);
         return false;
     }
+    // A number too large for the field is refused rather than wrapped.
+    const bool beyond64 =
+        v->kind() == json::Value::Kind::Double && v->asDouble() >= 0x1p64;
+    if (beyond64 || v->asUint() > std::numeric_limits<U>::max()) {
+        error = strformat("field '{}' must be at most {}", key,
+                          std::numeric_limits<U>::max());
+        return false;
+    }
     out = static_cast<U>(v->asUint());
     return true;
 }
@@ -112,7 +121,7 @@ ExperimentRequest::normalize()
         // (0 = disabled).  Callers warn about the deprecation; here it
         // only needs to fingerprint identically to the canonical form.
         const unsigned degree =
-            static_cast<unsigned>(std::strtoul(prefetch.c_str(), nullptr, 10));
+            parseUintOrDie<unsigned>(prefetch, "field 'prefetch'");
         prefetch = degree > 0 ? "sequential" : "none";
         if (degree > 0)
             prefetchDegree = degree;
@@ -255,9 +264,13 @@ ExperimentRequest::check(std::string &error) const
         return fail(unknownNameMessage("application", app, appNames()));
     if (!findPolicy(policy))
         return fail(unknownNameMessage("policy", policy, policyNames()));
-    if (!allDigits(prefetch) && !findPrefetchKind(prefetch))
+    if (allDigits(prefetch)) {
+        if (!parseUint<unsigned>(prefetch, "field 'prefetch'", error))
+            return false;
+    } else if (!findPrefetchKind(prefetch)) {
         return fail(
             unknownNameMessage("prefetcher", prefetch, prefetchNames()));
+    }
     if (!trace::parseEventMask(traceEvents, error).has_value()
         || !parsePageSizes(pageSizes, error).has_value())
         return false;

@@ -7,15 +7,14 @@
 
 #pragma once
 
-#include <charconv>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "common/log.hpp"
+#include "common/parse_uint.hpp"
 
 namespace hpe::cli {
 
@@ -80,7 +79,7 @@ class Args
     /**
      * Unsigned option of type T with default: decimal digits only, so a
      * minus sign or a value too large for T is fatal() rather than
-     * wrapped or truncated.
+     * wrapped or truncated (see parseUint()).
      */
     template <typename T = std::uint64_t>
     T
@@ -89,17 +88,7 @@ class Args
         auto it = options_.find(key);
         if (it == options_.end())
             return fallback;
-        const std::string &text = it->second;
-        T v = 0;
-        const char *last = text.data() + text.size();
-        const auto [end, ec] = std::from_chars(text.data(), last, v);
-        if (ec == std::errc::result_out_of_range)
-            fatal("option --{} must be at most {}, got '{}'", key,
-                  std::numeric_limits<T>::max(), text);
-        if (ec != std::errc() || end != last)
-            fatal("option --{} expects a non-negative integer, got '{}'", key,
-                  text);
-        return v;
+        return parseUintOrDie<T>(it->second, strformat("option --{}", key));
     }
 
     /** Reject unknown options (catches typos). */

@@ -16,8 +16,8 @@
  *  - every index still runs when some throw; afterwards the exception of
  *    the lowest failing index is rethrown, whatever the thread count;
  *  - every helper is joined before it returns or throws.  If a helper
- *    cannot be started, the unclaimed indices are abandoned and the
- *    std::system_error propagates after the join.
+ *    cannot be started, the helpers that did start finish the remaining
+ *    indices, then the std::system_error propagates.
  *
  * No state is shared between calls, so concurrent calls, and calls from
  * a ThreadPool task, are independent.  parallelFor() imposes no order:
@@ -90,25 +90,17 @@ parallelFor(unsigned threads, std::size_t n,
         detail::insideParallelFor = outer;
     };
 
-    std::vector<std::thread> helpers;
+    // Declared after everything drain() uses, so that a std::jthread's
+    // destructor joins it on every exit path while those still exist.
+    std::vector<std::jthread> helpers;
     const std::size_t width = std::min<std::size_t>(threads, n);
     if (width > 1 && !detail::insideParallelFor) {
         helpers.reserve(width - 1);
-        try {
-            for (std::size_t t = 1; t < width; ++t)
-                helpers.emplace_back(drain);
-        } catch (...) {
-            // Closing the cursor stops the started helpers after their
-            // current index.
-            next.store(n, std::memory_order_relaxed);
-            for (std::thread &helper : helpers)
-                helper.join();
-            throw;
-        }
+        for (std::size_t t = 1; t < width; ++t)
+            helpers.emplace_back(drain);
     }
     drain();
-    for (std::thread &helper : helpers)
-        helper.join();
+    helpers.clear();
     if (error)
         std::rethrow_exception(error);
 }

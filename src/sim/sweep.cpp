@@ -1,11 +1,8 @@
 #include "sim/sweep.hpp"
 
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 
-#include "common/log.hpp"
+#include "common/parse_uint.hpp"
 
 namespace hpe {
 
@@ -15,15 +12,7 @@ resolveJobs(unsigned requested)
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("HPE_JOBS"); env != nullptr && *env != '\0') {
-        const char *last = env + std::strlen(env);
-        unsigned v = 0;
-        const auto [end, ec] = std::from_chars(env, last, v);
-        if (ec == std::errc::result_out_of_range)
-            fatal("HPE_JOBS must be at most {}, got '{}'",
-                  std::numeric_limits<unsigned>::max(), env);
-        if (ec != std::errc() || end != last)
-            fatal("HPE_JOBS must be a non-negative integer, got '{}'", env);
-        if (v > 0)
+        if (const unsigned v = parseUintOrDie<unsigned>(env, "HPE_JOBS"); v > 0)
             return v;
         // HPE_JOBS=0 means "auto", same as unset.
     }

@@ -8,9 +8,10 @@
  * parallel map: it fans such jobs out with parallelFor(), on threads that
  * live for one map() call, and returns the results **in job-index
  * order**, so any output derived from them is byte-identical to a serial
- * run: parallelism changes wall-clock time, never a single table cell.  What a job runs is the caller's choice —
- * api::runExperiment for requests, runFunctional/runTiming (or their
- * *Inspect forms) for RunConfig-level studies.
+ * run: parallelism changes wall-clock time, never a single table cell.
+ * What a job runs is the caller's choice — api::runExperiment for
+ * requests, runFunctional/runTiming (or their *Inspect forms) for
+ * RunConfig-level studies.
  *
  * Job-count resolution (resolveJobs): an explicit request wins; else the
  * HPE_JOBS environment variable; else the hardware thread count.  Every

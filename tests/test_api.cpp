@@ -205,6 +205,36 @@ TEST(Request, FromJsonValidatesRanges)
     EXPECT_NE(error.find("empty trace event list"), std::string::npos);
 }
 
+TEST(Request, IntegerTooLargeForItsFieldIsRefused)
+{
+    // 2^32 + 8 used to run as walk latency 8, and the legacy numeric
+    // prefetch "2^32 + 4" as a sequential prefetch of degree 4.
+    std::string error;
+    EXPECT_FALSE(
+        fromText(R"({"walk_latency":4294967304})", error).has_value());
+    EXPECT_EQ(error, "field 'walk_latency' must be at most 4294967295");
+    EXPECT_FALSE(
+        fromText(R"({"prefetch":"4294967300"})", error).has_value());
+    EXPECT_EQ(error,
+              "field 'prefetch' must be at most 4294967295, got '4294967300'");
+    EXPECT_FALSE(
+        fromText(R"({"seed":18446744073709551616})", error).has_value());
+    EXPECT_EQ(error, "field 'seed' must be at most 18446744073709551615");
+
+    const auto widest = fromText(
+        R"({"walk_latency":4294967295,"prefetch":"4294967295"})", error);
+    ASSERT_TRUE(widest.has_value()) << error;
+    EXPECT_EQ(widest->walkLatency, 4294967295u);
+    EXPECT_EQ(widest->prefetch, "sequential");
+    EXPECT_EQ(widest->prefetchDegree, 4294967295u);
+
+    // The CLI normalizes before it checks, so normalize() refuses too.
+    ExperimentRequest cli;
+    cli.prefetch = "4294967296";
+    EXPECT_EXIT(cli.normalize(), ::testing::ExitedWithCode(1),
+                "field 'prefetch' must be at most 4294967295");
+}
+
 TEST(Request, ChaosObjectPresenceArmsInjection)
 {
     std::string error;

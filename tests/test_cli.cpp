@@ -77,7 +77,7 @@ TEST(Args, IntegerOptionsTakeDecimalDigitsOnly)
         const std::string opt = std::string("--seed=") + bad;
         const Args a = parse({"run", opt.c_str()});
         EXPECT_EXIT({ a.getUint("seed", 1); }, ::testing::ExitedWithCode(1),
-                    "option --seed expects a non-negative integer")
+                    "option --seed must be a non-negative integer")
             << "'" << bad << "'";
     }
     const Args a = parse({"run", "--seed=18446744073709551615"});
